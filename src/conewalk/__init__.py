@@ -6,6 +6,9 @@ fields, the positive harmonic polynomial of a normalized walk in a wedge
 of opening pi/m, the polynomials giving exact moments of the exit time,
 and an independent trigonometric-series construction of the same objects.
 A Monte Carlo simulator cross-checks every exact quantity.
+
+The simulator and the self-test suite need numpy; they are loaded on first
+use of their names, so the exact machinery imports without it.
 """
 
 from .alt import (
@@ -19,7 +22,6 @@ from .alt import (
     trig_series,
 )
 from .cones import ConeSpec, VERTICAL, cone_from_slope, detect_integer_m, make_cone
-from .diagnostics import PropertyResult, self_test
 from .drift import DriftExpansion, drift_expansion, one_step_residual
 from .errors import (
     AngleNotRepresentable,
@@ -80,13 +82,6 @@ from .scalars import (
     scalar_to_float,
     sqrt_fraction,
 )
-from .sim import (
-    CheckResult,
-    SimConfig,
-    SimReport,
-    sample_exit,
-    tail_exponent,
-)
 from .walks import (
     MomentTable,
     TransformInfo,
@@ -102,3 +97,24 @@ from .walks import (
 )
 
 __version__ = "0.1.0"
+
+_LAZY = {
+    "CheckResult": "sim",
+    "SimConfig": "sim",
+    "SimReport": "sim",
+    "sample_exit": "sim",
+    "PropertyResult": "diagnostics",
+    "self_test": "diagnostics",
+}
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+__all__ = sorted([n for n in globals() if not n.startswith("_")] + list(_LAZY))

@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from .alt import eliminate_monomial
 from .cones import ConeSpec, cone_from_slope, make_cone
-from .diagnostics import self_test
 from .drift import one_step_residual
 from .errors import ConewalkError, ValidationError
 from .exits import exit_position_moments, tau_moment_poly
@@ -34,7 +33,6 @@ from .jsonio import (
 )
 from .linsys import build_matrix
 from .scalars import Backend, FloatBackend, backend_from_name, format_scalar, scalar_to_float
-from .sim import SimConfig, sample_exit
 from .walks import MomentTable, WalkSpec, builtin_walks, push_moments
 
 log = logging.getLogger("conewalk")
@@ -226,6 +224,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .sim import SimConfig, sample_exit
+
     w = _load_walk(args.walk)
     start = tuple(int(v) for v in args.start.split(","))
     checks = tuple(args.check.split(",")) if args.check else ("tau-mean",)
@@ -276,6 +276,8 @@ def cmd_alt_eliminate(args) -> int:
 
 
 def cmd_self_test(args) -> int:
+    from .diagnostics import self_test
+
     results = self_test(seed=args.seed, float_bits=args.float_bits)
     all_ok = True
     for r in results:

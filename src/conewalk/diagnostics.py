@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -440,7 +441,7 @@ def self_test(seed: int = 0, float_bits: int = 256) -> list[PropertyResult]:
     precision-scaled tolerance)."""
     results = []
     for name, fn in _PROPERTIES:
-        rng = random.Random(seed ^ hash(name) & 0xFFFFFFFF)
+        rng = random.Random(seed ^ zlib.crc32(name.encode()))
         try:
             detail = fn(rng, float_bits)
             results.append(PropertyResult(name=name, passed=True, detail=detail))

@@ -84,9 +84,6 @@ class MomentPolyResult:
     residual: Poly  # drift(G) minus the recursion's rhs; must be zero
 
 
-_MOMENT_CACHE: dict = {}
-
-
 def first_moment_poly(cone: ConeSpec) -> Poly:
     """x2*(b*x1 - x2): the expected exit time as a function of the start."""
     if cone.vertical or cone.half_plane:
@@ -99,8 +96,10 @@ def tau_moment_poly(k: int, cone: ConeSpec, mu: MomentTable) -> MomentPolyResult
     k < pi/(2*alpha); raises MomentNotFinite at or beyond that threshold
     (the moment is genuinely infinite there, this is not a numeric failure).
 
-    Recursion: G_1 = x2(b x1 - x2); for k >= 2, G_k solves
-    drift(G_k) = -1 - sum_{l<k} C(k,l) (G_l + drift(G_l)) at degree 2k.
+    Recursion: G_1 = x2(b x1 - x2); for j >= 2, G_j solves
+    drift(G_j) = -1 - sum_{l<j} C(j,l) (G_l + drift(G_l)) at degree 2j.
+    G_1..G_k are built in one pass, each drift computed once, and every
+    G_j's recursion residual is checked.
     """
     if k < 1:
         raise ValidationError("moment order must be >= 1")
@@ -110,32 +109,24 @@ def tau_moment_poly(k: int, cone: ConeSpec, mu: MomentTable) -> MomentPolyResult
         )
     if mu.order < 2 * k:
         raise InsufficientMoments(f"need moments of order >= {2 * k}, have {mu.order}")
-    key = (k, id(cone), id(mu))
-    hit = _MOMENT_CACHE.get(key)
-    if hit is not None:
-        return hit
     backend = cone.backend
+    parts = []  # G_l + drift(G_l) for l < j
     with backend.workprec():
-        if k == 1:
-            G = Poly({(1, 1): cone.b, (0, 2): -backend.one()})
+        for j in range(1, k + 1):
             rhs = Poly.const(-backend.one())
-        else:
-            rhs = Poly.const(-backend.one())
-            for l in range(1, k):
-                Gl = tau_moment_poly(l, cone, mu).G
-                dGl = drift_expansion(Gl, mu).output
-                rhs = rhs - math.comb(k, l) * (Gl + dGl)
-            G = poisson_solve(rhs, cone, mu, 2 * k)
-        residual = drift_expansion(G, mu).output - rhs
-    scale = max(1.0, G.max_abs_float(), rhs.max_abs_float())
-    if not residual.is_zero():
-        if not isinstance(backend, FloatBackend) or not all(
-            backend.is_zero(c, scale) for c in residual.terms.values()
-        ):
-            raise InternalError(f"moment recursion residual nonzero: {residual!r}")
-    out = MomentPolyResult(k=k, cone=cone, G=G, residual=residual)
-    _MOMENT_CACHE[key] = out
-    return out
+            for l, part in enumerate(parts, 1):
+                rhs = rhs - math.comb(j, l) * part
+            G = first_moment_poly(cone) if j == 1 else poisson_solve(rhs, cone, mu, 2 * j)
+            dG = drift_expansion(G, mu).output
+            residual = dG - rhs
+            scale = max(1.0, G.max_abs_float(), rhs.max_abs_float())
+            if not residual.is_zero() and (
+                not isinstance(backend, FloatBackend)
+                or not all(backend.is_zero(c, scale) for c in residual.terms.values())
+            ):
+                raise InternalError(f"moment recursion residual nonzero: {residual!r}")
+            parts.append(G + dG)
+    return MomentPolyResult(k=k, cone=cone, G=G, residual=residual)
 
 
 @dataclass(frozen=True)

@@ -221,10 +221,6 @@ def format_scalar(v) -> str:
     return str(Fraction(v))
 
 
-def parse_scalar(s: str, backend: "Backend"):
-    return backend.parse(s)
-
-
 class Backend:
     """Conversion, zero testing and string round-trips for one scalar field."""
 

@@ -6,6 +6,11 @@ counter-based RNG stream per chunk, so reports are bit-identical for a
 given config regardless of how the chunks are scheduled.  Exact targets are
 computed by the symbolic modules and pulled back through the normalizing
 transform once, outside the hot loop.
+
+Draw order: within a chunk, path i consumes the same stream draws as under
+one-at-a-time stepping, where each step takes one draw per surviving path
+in path order.  Block stepping in the tail phase (see _simulate_exits)
+keeps this rule, so it changes no report.
 """
 
 from __future__ import annotations
@@ -32,6 +37,13 @@ KNOWN_CHECKS = ("tau-mean", "tau-second", "exit-position", "harmonicity", "tail"
 
 #: paths per RNG stream; fixed so chunking never depends on worker count
 CHUNK = 65536
+
+#: survivors in a chunk above which every step is taken on its own; below
+#: it, exits are rare enough that blocks of steps pay off
+BLOCK_SWITCH = 512
+
+#: most draws one block of steps may take, so the block arrays stay small
+BLOCK_DRAWS = 16384
 
 #: acceptance band around -p_alpha/2 for the tail-slope fit
 TAIL_BAND = 0.15
@@ -96,9 +108,19 @@ def _simulate_exits(cfg: SimConfig):
     """Exit time and exit point for every path.
 
     Returns (tau, exit_y, truncated_mask): truncated paths carry
-    tau = max_steps and their last position instead of an exit point."""
+    tau = max_steps and their last position instead of an exit point.
+
+    While more than BLOCK_SWITCH paths of a chunk survive, each step takes
+    one draw per survivor.  Below that, a block of k steps takes k draws per
+    survivor, row by row, and is advanced with a cumulative sum; the rows
+    after the first one with an exit are discarded and their draws go back
+    to the chunk's buffer.  Philox draws concatenate, so either way path i
+    consumes exactly the draws that one-at-a-time stepping would give it.
+    After a block without an exit k doubles; after an exit at row r it
+    becomes 2*(r+1), capped by the steps left and by BLOCK_DRAWS."""
     atoms = cfg.walk.atoms
-    jumps = np.array([[a, b] for a, b, _ in atoms], dtype=np.int64)
+    jx = np.array([a for a, _, _ in atoms], dtype=np.int64)
+    jy = np.array([b for _, b, _ in atoms], dtype=np.int64)
     cum = np.cumsum(np.array([float(p) for _, _, p in atoms]))
     cum[-1] = 1.0
     tau = np.empty(cfg.paths, dtype=np.int64)
@@ -107,28 +129,46 @@ def _simulate_exits(cfg: SimConfig):
     n_chunks = (cfg.paths + CHUNK - 1) // CHUNK
     for ci in range(n_chunks):
         lo, hi = ci * CHUNK, min((ci + 1) * CHUNK, cfg.paths)
-        count = hi - lo
         rng = _chunk_rng(cfg.seed, ci)
-        pos = np.empty((count, 2), dtype=np.int64)
-        pos[:, 0] = cfg.start[0]
-        pos[:, 1] = cfg.start[1]
         idx = np.arange(lo, hi)
+        x = np.full(hi - lo, cfg.start[0], dtype=np.int64)
+        y = np.full(hi - lo, cfg.start[1], dtype=np.int64)
+        buf = np.empty(0)  # drawn from rng but not yet consumed
         step = 0
+        k = 1
         while idx.size and step < cfg.max_steps:
-            step += 1
-            draws = rng.random(idx.size)
-            pos += jumps[np.searchsorted(cum, draws, side="right")]
-            out = (pos[:, 0] <= 0) | (pos[:, 1] <= 0)
-            if out.any():
-                done = idx[out]
-                tau[done] = step
-                exit_y[done] = pos[out]
-                keep = ~out
-                idx = idx[keep]
-                pos = pos[keep]
+            n = idx.size
+            k = 1 if n > BLOCK_SWITCH else min(k, cfg.max_steps - step, BLOCK_DRAWS // n)
+            need = k * n
+            if buf.size < need:
+                fresh = rng.random(need - buf.size)
+                buf = np.concatenate((buf, fresh)) if buf.size else fresh
+            j = np.searchsorted(cum, buf[:need].reshape(k, n), side="right")
+            bx, by = jx[j], jy[j]
+            if k > 1:  # a one-row cumsum would only copy
+                bx, by = bx.cumsum(axis=0), by.cumsum(axis=0)
+            bx += x
+            by += y
+            out = (bx <= 0) | (by <= 0)
+            hit = out.any(axis=1)
+            r = int(hit.argmax()) if hit.any() else k - 1
+            step += r + 1
+            buf = buf[(r + 1) * n :]
+            x, y = bx[r], by[r]
+            if not hit[r]:
+                k *= 2
+                continue
+            gone, kept = np.flatnonzero(out[r]), np.flatnonzero(~out[r])
+            done = idx[gone]
+            tau[done] = step
+            exit_y[done, 0] = x[gone]
+            exit_y[done, 1] = y[gone]
+            idx, x, y = idx[kept], x[kept], y[kept]
+            k = 2 * (r + 1)
         if idx.size:
             tau[idx] = cfg.max_steps
-            exit_y[idx] = pos
+            exit_y[idx, 0] = x
+            exit_y[idx, 1] = y
             truncated[idx] = True
     return tau, exit_y, truncated
 
@@ -353,8 +393,3 @@ def _fit_tail(tau: np.ndarray, max_steps: int):
     se = math.sqrt(float(np.sum(resid**2)) / dof / denom) if denom > 0 else 0.0
     return float(slope), se, len(ns)
 
-
-def tail_exponent(cfg: SimConfig) -> CheckResult:
-    """Simulate and fit the exit-time tail exponent (see _fit_tail)."""
-    tau, _, _ = _simulate_exits(cfg)
-    return _tail_check(cfg, tau)

@@ -1,12 +1,17 @@
 """The self-test property suite, including a fault-injection probe showing
 the suite actually detects a broken invariant."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import conewalk
 import conewalk.linsys as linsys
 from conewalk import Poly, make_cone, pivot_identity_residual, self_test
+from conewalk.diagnostics import _PROPERTIES
 
 
 def test_self_test_exact_properties_fast():
@@ -29,3 +34,28 @@ def test_fault_injection_detected(monkeypatch):
 
     monkeypatch.setattr(linsys, "im_power", wrong_im_power)
     assert pivot_identity_residual(5, make_cone(4)) != 0
+
+
+def test_self_test_draws_do_not_depend_on_hash_seed():
+    """`self-test --seed 0` must draw the same cases in every process.  The
+    real properties do not print their draws, so each is swapped for one
+    that prints its first draw, and the CLI output is compared under two
+    str-hash salts."""
+    code = (
+        "import sys\n"
+        "from conewalk import diagnostics\n"
+        "from conewalk.cli import main\n"
+        "diagnostics._PROPERTIES[:] = [(n, lambda rng, bits: repr(rng.random()))\n"
+        "                              for n, _ in diagnostics._PROPERTIES]\n"
+        "sys.exit(main(['self-test', '--seed', '0']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(conewalk.__file__))
+    outs = []
+    for salt in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=salt)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    draws = [line.split(": ")[1] for line in outs[0].splitlines()]
+    assert len(draws) == len(_PROPERTIES) and all(0 <= float(d) < 1 for d in draws)

@@ -139,3 +139,16 @@ def test_second_moment_at_pi_5():
         for deg, part in q.homogeneous_parts().items():
             v = part.evaluate(bk.one(), cone.b)
             assert abs(float(v)) <= 2 ** -120 * scale
+
+
+def test_fresh_tables_get_their_own_moment_polys():
+    """Each new moment table gets the G_2 of its own recursion, even when
+    CPython hands a new table the id of a collected one."""
+    rng = random.Random(12)
+    cone = make_cone(8)
+    g1 = first_moment_poly(cone)
+    for _ in range(50):
+        mu = make_moment_table(order=4, rng=rng)
+        g2 = tau_moment_poly(2, cone, mu).G
+        rhs = Poly.const(Fraction(-1)) - 2 * (g1 + drift_expansion(g1, mu).output)
+        assert drift_expansion(g2, mu).output == rhs

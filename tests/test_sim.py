@@ -1,10 +1,15 @@
 """Monte Carlo simulator: reproducibility, exactness cross-checks, and the
 moment-finiteness guards."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import conewalk
 from conewalk import (
     MomentCheckInvalid,
     SimConfig,
@@ -16,7 +21,35 @@ from conewalk import (
     simple_walk,
     skewed_walk,
 )
-from conewalk.sim import _simulate_exits
+from conewalk.sim import BLOCK_SWITCH, CHUNK, _chunk_rng, _simulate_exits
+
+
+def _reference_exits(cfg):
+    """One draw per surviving path per step, in path order: the draw-order
+    rule that _simulate_exits must reproduce exactly."""
+    jumps = np.array([[a, b] for a, b, _ in cfg.walk.atoms], dtype=np.int64)
+    cum = np.cumsum(np.array([float(p) for _, _, p in cfg.walk.atoms]))
+    cum[-1] = 1.0
+    tau = np.empty(cfg.paths, dtype=np.int64)
+    exit_y = np.empty((cfg.paths, 2), dtype=np.int64)
+    truncated = np.zeros(cfg.paths, dtype=bool)
+    for ci in range((cfg.paths + CHUNK - 1) // CHUNK):
+        lo, hi = ci * CHUNK, min((ci + 1) * CHUNK, cfg.paths)
+        rng = _chunk_rng(cfg.seed, ci)
+        idx = np.arange(lo, hi)
+        pos = np.tile(np.array(cfg.start, dtype=np.int64), (hi - lo, 1))
+        for step in range(1, cfg.max_steps + 1):
+            if not idx.size:
+                break
+            pos += jumps[np.searchsorted(cum, rng.random(idx.size), side="right")]
+            out = (pos[:, 0] <= 0) | (pos[:, 1] <= 0)
+            tau[idx[out]] = step
+            exit_y[idx[out]] = pos[out]
+            idx, pos = idx[~out], pos[~out]
+        tau[idx] = cfg.max_steps
+        exit_y[idx] = pos
+        truncated[idx] = True
+    return tau, exit_y, truncated
 
 
 def test_config_validation():
@@ -76,3 +109,38 @@ def test_skewed_walk_tau_mean():
     (c,) = rep.checks
     assert c.target == 4.0
     assert rep.all_passed()
+
+
+@pytest.mark.parametrize(
+    "walk, start, paths, max_steps",
+    [
+        # two chunks, the second partial; the cap falls inside a block
+        (simple_walk, (1, 1), CHUNK + 3001, 1237),
+        (diagonal_walk, (2, 1), 5000, 151),
+        (skewed_walk, (1, 2), 70001, 100_000),
+    ],
+)
+def test_block_stepping_matches_one_step_reference(walk, start, paths, max_steps):
+    cfg = SimConfig(walk=walk(), start=start, paths=paths, seed=11, max_steps=max_steps, checks=())
+    got = _simulate_exits(cfg)
+    want = _reference_exits(cfg)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and (g == w).all()
+    tau, _, truncated = want
+    # every chunk starts above the single-step threshold and ends below it
+    assert paths % CHUNK > BLOCK_SWITCH and truncated.sum() < BLOCK_SWITCH
+    if walk is not skewed_walk:
+        assert truncated.any() and (tau[truncated] == max_steps).all()
+
+
+def test_import_leaves_numpy_unloaded():
+    code = (
+        "import sys, conewalk, conewalk.cli\n"
+        "assert 'numpy' not in sys.modules, 'numpy loaded by import conewalk'\n"
+        "from conewalk import SimConfig\n"
+        "assert SimConfig.__module__ == 'conewalk.sim' and 'numpy' in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(conewalk.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
