@@ -56,77 +56,114 @@ def sqrt_fraction(r: Fraction) -> tuple[Fraction, int]:
 
 class QuadElement:
     """Element p + q*sqrt(d) of the real quadratic field Q(sqrt(d)),
-    d a square-free integer > 1.  Immutable; mixes freely with int/Fraction."""
+    d a square-free integer > 1.  Immutable; mixes freely with int/Fraction.
 
-    __slots__ = ("p", "q", "d")
+    Stored as integers (a + b*sqrt(d)) / c with c > 0 and gcd(a, b, c) = 1,
+    so every value has one form; ``p`` and ``q`` are derived Fractions."""
+
+    __slots__ = ("_a", "_b", "_c", "d")
 
     def __init__(self, p, q, d: int):
-        self.p = Fraction(p)
-        self.q = Fraction(q)
-        self.d = d
+        p, q = Fraction(p), Fraction(q)
+        a, b = p.numerator * q.denominator, q.numerator * p.denominator
+        c = p.denominator * q.denominator
+        g = math.gcd(a, b, c)
+        self._a, self._b, self._c, self.d = a // g, b // g, c // g, d
 
-    def _coerce(self, other):
+    @property
+    def p(self) -> Fraction:
+        return Fraction(self._a, self._c)
+
+    @property
+    def q(self) -> Fraction:
+        return Fraction(self._b, self._c)
+
+    def _operand(self, other):
+        """other as integers (a, b, c) in this field, or None if it is not a
+        scalar this element combines with directly."""
         if isinstance(other, QuadElement):
-            if other.d == self.d or other.q == 0:
-                return Fraction(other.p), Fraction(other.q if other.d == self.d else 0)
-            if self.q == 0:
+            if other.d == self.d or other._b == 0:
+                return other._a, other._b, other._c
+            if self._b == 0:
                 return None  # handled by caller through reflected op
             raise ValueError(f"cannot mix sqrt({self.d}) and sqrt({other.d})")
-        if isinstance(other, (int, Fraction)):
-            return Fraction(other), Fraction(0)
+        if isinstance(other, int):
+            return other, 0, 1
+        if isinstance(other, Fraction):
+            return other.numerator, 0, other.denominator
         return None
 
+    def _plus(self, a, b, c):
+        sa, sb, sc = self._a, self._b, self._c
+        return _reduced(sa * c + a * sc, sb * c + b * sc, sc * c, self.d)
+
+    def _over(self, a, b, c):
+        sa, sb, sc = self._a, self._b, self._c
+        if b == 0:
+            if a == 0:
+                raise ZeroDivisionError("division by zero quadratic element")
+            if a < 0:
+                a, c = -a, -c
+            return _reduced(sa * c, sb * c, sc * a, self.d)
+        # (a + b*sqrt(d))/c inverts to c*(a - b*sqrt(d)) / (a^2 - b^2 d)
+        norm = a * a - b * b * self.d
+        if norm == 0:
+            raise ZeroDivisionError("division by zero quadratic element")
+        if norm < 0:
+            norm, a, b = -norm, -a, -b
+        return _reduced(c * (sa * a - sb * b * self.d), c * (sb * a - sa * b), sc * norm, self.d)
+
     def __add__(self, other):
-        co = self._coerce(other)
-        if co is None:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        return QuadElement(self.p + co[0], self.q + co[1], self.d)
+        return self._plus(*o)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        co = self._coerce(other)
-        if co is None:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        return QuadElement(self.p - co[0], self.q - co[1], self.d)
+        return self._plus(-o[0], -o[1], o[2])
 
     def __rsub__(self, other):
-        co = self._coerce(other)
-        if co is None:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        return QuadElement(co[0] - self.p, co[1] - self.q, self.d)
+        return (-self)._plus(*o)
 
     def __mul__(self, other):
-        co = self._coerce(other)
-        if co is None:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        p, q = co
-        return QuadElement(self.p * p + self.q * q * self.d, self.p * q + self.q * p, self.d)
+        a, b, c = o
+        sa, sb, sc = self._a, self._b, self._c
+        if b == 0:
+            return _reduced(sa * a, sb * a, sc * c, self.d)
+        return _reduced(sa * a + sb * b * self.d, sa * b + sb * a, sc * c, self.d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadElement":
-        norm = self.p * self.p - self.q * self.q * self.d
-        if norm == 0:
-            raise ZeroDivisionError("division by zero quadratic element")
-        return QuadElement(self.p / norm, -self.q / norm, self.d)
+        return _make(1, 0, 1, self.d)._over(self._a, self._b, self._c)
 
     def __truediv__(self, other):
-        co = self._coerce(other)
-        if co is None:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        return self * QuadElement(co[0], co[1], self.d).inverse()
+        return self._over(*o)
 
     def __rtruediv__(self, other):
-        co = self._coerce(other)
-        if co is None:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        return QuadElement(co[0], co[1], self.d) * self.inverse()
+        return _make(*o, self.d)._over(self._a, self._b, self._c)
 
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = QuadElement(1, 0, self.d)
+        out = _make(1, 0, 1, self.d)
         base = self
         while n:
             if n & 1:
@@ -136,48 +173,51 @@ class QuadElement:
         return out
 
     def __neg__(self):
-        return QuadElement(-self.p, -self.q, self.d)
+        return _make(-self._a, -self._b, self._c, self.d)
 
     def __eq__(self, other):
         if isinstance(other, QuadElement):
-            if other.d == self.d:
-                return self.p == other.p and self.q == other.q
-            return self.q == 0 and other.q == 0 and self.p == other.p
-        if isinstance(other, (int, Fraction)):
-            return self.q == 0 and self.p == other
+            if other.d == self.d or (self._b == 0 and other._b == 0):
+                return self._a == other._a and self._b == other._b and self._c == other._c
+            return False
+        if isinstance(other, int):
+            return self._b == 0 and self._c == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return self._b == 0 and self._a == other.numerator and self._c == other.denominator
         return NotImplemented
 
     def __hash__(self):
-        if self.q == 0:
+        if self._b == 0:
             return hash(self.p)
         return hash((self.p, self.q, self.d))
 
     def sign(self) -> int:
-        if self.q == 0:
-            return 0 if self.p == 0 else (1 if self.p > 0 else -1)
-        if self.p == 0:
-            return 1 if self.q > 0 else -1
-        if self.p > 0 and self.q > 0:
+        a, b = self._a, self._b  # c > 0 does not change the sign
+        if b == 0:
+            return 0 if a == 0 else (1 if a > 0 else -1)
+        if a == 0:
+            return 1 if b > 0 else -1
+        if a > 0 and b > 0:
             return 1
-        if self.p < 0 and self.q < 0:
+        if a < 0 and b < 0:
             return -1
-        # mixed signs: compare p^2 against q^2 d
-        lhs, rhs = self.p * self.p, self.q * self.q * self.d
-        if self.q > 0:  # p < 0
+        # mixed signs: compare a^2 against b^2 d
+        lhs, rhs = a * a, b * b * self.d
+        if b > 0:  # a < 0
             return 1 if rhs > lhs else (-1 if rhs < lhs else 0)
         return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
 
     def __lt__(self, other):
-        co = self._coerce(other)
-        if co is None:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        return (self - QuadElement(co[0], co[1], self.d)).sign() < 0
+        return self._plus(-o[0], -o[1], o[2]).sign() < 0
 
     def __gt__(self, other):
-        co = self._coerce(other)
-        if co is None:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        return (self - QuadElement(co[0], co[1], self.d)).sign() > 0
+        return self._plus(-o[0], -o[1], o[2]).sign() > 0
 
     def __le__(self, other):
         return self == other or self < other
@@ -186,13 +226,29 @@ class QuadElement:
         return self == other or self > other
 
     def __float__(self):
-        return float(self.p) + float(self.q) * math.sqrt(self.d)
+        # a/c and b/c round like float(p) and float(q): int division is exact-then-rounded
+        return self._a / self._c + self._b / self._c * math.sqrt(self.d)
 
     def __repr__(self):
         return f"QuadElement({self.p!r}, {self.q!r}, {self.d})"
 
     def __str__(self):
         return format_scalar(self)
+
+
+def _make(a: int, b: int, c: int, d: int) -> QuadElement:
+    """(a + b*sqrt(d)) / c from integers already in lowest terms, c > 0."""
+    x = object.__new__(QuadElement)
+    x._a, x._b, x._c, x.d = a, b, c, d
+    return x
+
+
+def _reduced(a: int, b: int, c: int, d: int) -> QuadElement:
+    """(a + b*sqrt(d)) / c with c > 0, brought to lowest terms."""
+    g = math.gcd(a, b, c)
+    if g != 1:
+        a, b, c = a // g, b // g, c // g
+    return _make(a, b, c, d)
 
 
 def scalar_to_float(v) -> float:
@@ -279,8 +335,8 @@ class QuadraticBackend(Backend):
 
     def convert(self, v):
         if isinstance(v, QuadElement):
-            if v.q == 0:
-                return QuadElement(v.p, 0, self.d)
+            if v._b == 0:
+                return _make(v._a, 0, v._c, self.d)
             if v.d != self.d:
                 raise ValueError(f"cannot convert sqrt({v.d}) element to {self.name}")
             return v

@@ -8,6 +8,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import mpmath
+
 from .cones import ConeSpec, VERTICAL, detect_integer_m, make_cone
 from .errors import DegenerateCorrelation, InsufficientMoments, ValidationError
 from .scalars import (
@@ -138,8 +140,6 @@ def build_transform(w: WalkSpec) -> TransformInfo:
     else:
         backend = bigfloat()
         with backend.workprec():
-            import mpmath
-
             s1 = mpmath.sqrt(backend.convert(s1sq))
             s2 = mpmath.sqrt(backend.convert(w.ey2sq))
     with backend.workprec():
@@ -178,9 +178,11 @@ def cone_for_walk(w: WalkSpec) -> ConeSpec:
     # general angle: slope from tan(alpha) = sqrt(1-rho^2)/(-rho)
     from .cones import cone_from_slope
 
-    rho = tr.rho_float()
-    b = math.sqrt(1 - rho * rho) / (-rho)
-    return cone_from_slope(bigfloat().convert(b), bigfloat())
+    backend = bigfloat()
+    with backend.workprec():
+        r2 = backend.convert(w.rho_squared)
+        b = mpmath.sqrt(1 - r2) / (-w.rho_sign * mpmath.sqrt(r2))
+    return cone_from_slope(b, backend)
 
 
 def check_no_overshoot(w: WalkSpec) -> bool:
@@ -196,15 +198,16 @@ def push_moments(w: WalkSpec, order: int) -> MomentTable:
     tr = w.transform
     backend = tr.backend
     mu = {}
-    # precompute X coordinates per atom
-    pts = [(tr.apply(a, b), p) for a, b, p in w.atoms]
-    for k in range(order + 1):
-        for l in range(order + 1 - k):
-            acc = backend.zero()
-            for (x1, x2), p in pts:
-                acc = acc + p * x1**k * x2**l
-            mu[(k, l)] = acc
-    return MomentTable(order=order, mu=mu, backend=backend)
+    with backend.workprec():
+        # precompute X coordinates per atom
+        pts = [(tr.apply(a, b), p) for a, b, p in w.atoms]
+        for k in range(order + 1):
+            for l in range(order + 1 - k):
+                acc = backend.zero()
+                for (x1, x2), p in pts:
+                    acc = acc + p * x1**k * x2**l
+                mu[(k, l)] = acc
+        return MomentTable(order=order, mu=mu, backend=backend)
 
 
 # ---- built-in example walks -------------------------------------------

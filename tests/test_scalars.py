@@ -1,8 +1,10 @@
 """Scalar fields: rationals, quadratic extensions, big floats."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conewalk import (
     QuadElement,
@@ -94,3 +96,158 @@ def test_scalar_to_float():
 def test_backend_of():
     assert backend_of(Fraction(1)) is RATIONAL
     assert backend_of(QuadElement(0, 1, 5)).name == "quad:5"
+
+
+# ---- QuadElement against a reference model (Hypothesis) ------------------
+#
+# The model keeps p + q*sqrt(d) as two Fractions and writes the field
+# operations out by hand; QuadElement stores integers (a + b*sqrt(d)) / c.
+
+
+def ref_mul(x, y, d):
+    return (x[0] * y[0] + x[1] * y[1] * d, x[0] * y[1] + x[1] * y[0])
+
+
+def ref_inv(x, d):
+    norm = x[0] * x[0] - x[1] * x[1] * d
+    return (x[0] / norm, -x[1] / norm)
+
+
+def ref_pow(x, n, d):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(abs(n)):
+        out = ref_mul(out, x, d)
+    return ref_inv(out, d) if n < 0 else out
+
+
+def pair(v):
+    """A scalar operand as the model's (p, q)."""
+    return (v.p, v.q) if isinstance(v, QuadElement) else (Fraction(v), Fraction(0))
+
+
+# small denominators often, so integer-valued p and q turn up
+fractions_ = st.builds(
+    Fraction, st.integers(-(10**12), 10**12), st.one_of(st.integers(1, 3), st.integers(1, 10**6))
+)
+fields = st.sampled_from([2, 3, 5])
+
+
+@st.composite
+def elements(draw, d=None, irrational=False):
+    d = draw(fields) if d is None else d
+    q = draw(fractions_ if irrational else st.one_of(st.just(Fraction(0)), fractions_))
+    if irrational and q == 0:
+        q = Fraction(1)
+    return QuadElement(draw(fractions_), q, d)
+
+
+@st.composite
+def element_and_operand(draw):
+    x = draw(elements())
+    y = draw(st.one_of(elements(d=x.d), fractions_, st.integers(-(10**9), 10**9)))
+    return x, y
+
+
+def assert_matches(got, want, d):
+    assert isinstance(got, QuadElement)
+    assert (got.p, got.q, got.d) == (want[0], want[1], d)
+
+
+quad_settings = settings(max_examples=200, deadline=None)
+
+
+@quad_settings
+@given(element_and_operand())
+def test_quad_arithmetic_matches_model(xy):
+    x, y = xy
+    d, px, py = x.d, pair(x), pair(y)
+    assert_matches(x + y, (px[0] + py[0], px[1] + py[1]), d)
+    assert_matches(y + x, (px[0] + py[0], px[1] + py[1]), d)
+    assert_matches(x - y, (px[0] - py[0], px[1] - py[1]), d)
+    assert_matches(y - x, (py[0] - px[0], py[1] - px[1]), d)
+    assert_matches(x * y, ref_mul(px, py, d), d)
+    assert_matches(y * x, ref_mul(px, py, d), d)
+    assert_matches(-x, (-px[0], -px[1]), d)
+    if py != (0, 0):
+        assert_matches(x / y, ref_mul(px, ref_inv(py, d), d), d)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    if px != (0, 0):
+        assert_matches(y / x, ref_mul(py, ref_inv(px, d), d), d)
+        assert_matches(x.inverse(), ref_inv(px, d), d)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+
+
+@quad_settings
+@given(elements(), st.integers(-4, 6))
+def test_quad_power_matches_model(x, n):
+    if x == 0 and n < 0:
+        with pytest.raises(ZeroDivisionError):
+            x**n
+        return
+    assert_matches(x**n, ref_pow(pair(x), n, x.d), x.d)
+
+
+@quad_settings
+@given(fractions_, fractions_, fields)
+def test_quad_p_q_round_trip(p, q, d):
+    x = QuadElement(p, q, d)
+    assert (x.p, x.q, x.d) == (p, q, d)
+    assert type(x.p) is Fraction and type(x.q) is Fraction
+    y = QuadElement(x.p, x.q, x.d)
+    assert y == x and repr(y) == repr(x)
+    assert float(x) == float(p) + float(q) * math.sqrt(d)
+
+
+@quad_settings
+@given(element_and_operand())
+def test_quad_equal_values_have_equal_repr_and_hash(xy):
+    x, y = xy
+    same = [QuadElement(x.p, x.q, x.d), (x + y) - y, -(-x)]
+    if y != 0:
+        same.append((x * y) / y)
+    for v in same:
+        assert v == x and x == v
+        assert repr(v) == repr(x) and hash(v) == hash(x)
+    if x.q == 0:
+        # a rational value equals, and hashes like, its Fraction and any field's copy
+        assert x == x.p and x.p == x and hash(x) == hash(x.p)
+        other = QuadElement(x.p, 0, 7)
+        assert x == other and hash(x) == hash(other)
+        assert (x == x.p.numerator) == (x.p.denominator == 1)
+        assert x != x.p + Fraction(1, 3) and x != x.p.numerator + 1
+        assert x.p == 0 or x != x.p / 2  # same numerator when it is odd
+        if x.p.denominator == 1:
+            n = x.p.numerator
+            assert x == n and n == x and hash(x) == hash(n)
+    else:
+        assert x != x.p and x != QuadElement(x.p, x.q, 7)
+
+
+@quad_settings
+@given(elements(d=2, irrational=True), elements(d=3, irrational=True))
+def test_quad_fields_do_not_mix(x, y):
+    for op in (
+        lambda: x + y,
+        lambda: x - y,
+        lambda: x * y,
+        lambda: x / y,
+        lambda: x < y,
+        lambda: y > x,
+    ):
+        with pytest.raises(ValueError):
+            op()
+
+
+@quad_settings
+@given(element_and_operand())
+def test_quad_order_matches_floats(xy):
+    x, y = xy
+    diff = float(x) - float(y)
+    if abs(diff) > 1e-6 * max(1.0, abs(float(x)), abs(float(y))):
+        assert (x < y) == (diff < 0) and (x > y) == (diff > 0)
+        assert (x - y).sign() == (1 if diff > 0 else -1)
+    assert (x - x).sign() == 0 and x <= x and x >= x

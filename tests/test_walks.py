@@ -12,6 +12,7 @@ from conewalk import (
     WalkSpec,
     check_no_overshoot,
     diagonal_walk,
+    first_moment_poly,
     push_moments,
     simple_walk,
     skewed_walk,
@@ -88,3 +89,35 @@ def test_moment_order_enforced():
 def test_map_point():
     w = skewed_walk()
     assert w.map_point(1, 1) == (Fraction(4), Fraction(2))
+
+
+# rho = -1/3: the transform needs two square-root fields and the opening
+# arccos(1/3) is not pi/m, so everything runs on the float backend
+FLOAT_TRANSFORM_ATOMS = [
+    (1, -1, Fraction(1, 10)),
+    (-1, 1, Fraction(1, 10)),
+    (1, 0, Fraction(1, 5)),
+    (-1, 0, Fraction(1, 5)),
+    (0, 1, Fraction(1, 5)),
+    (0, -1, Fraction(1, 5)),
+]
+
+
+def test_float_transform_moments_at_backend_precision():
+    w = WalkSpec(FLOAT_TRANSFORM_ATOMS)
+    assert w.backend.name == "float:256" and w.cone.m is None
+    mu = push_moments(w, 4)
+    bk = mu.backend
+    with bk.workprec():
+        for key, want in {(0, 0): 1, (1, 0): 0, (0, 1): 0, (2, 0): 1, (0, 2): 1, (1, 1): 0}.items():
+            assert abs(mu(*key) - want) <= bk.tolerance, key
+
+
+def test_general_angle_slope_at_backend_precision():
+    w = WalkSpec(FLOAT_TRANSFORM_ATOMS)
+    g1 = first_moment_poly(w.cone)
+    bk = w.cone.backend
+    with bk.workprec():
+        for y2 in range(1, 6):
+            # T(0, y2) lies on the image of the boundary y1 = 0, where G_1 vanishes
+            assert abs(g1.evaluate(*w.map_point(0, y2))) <= bk.tolerance, y2
