@@ -75,7 +75,6 @@ from .scalars import (
     RATIONAL,
     RationalBackend,
     backend_from_name,
-    backend_of,
     bigfloat,
     format_scalar,
     quadratic,

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cones import ConeSpec, make_cone
+from .cones import ConeSpec, cone_for_table, make_cone
 from .drift import drift_expansion
 from .errors import (
     InsufficientMoments,
@@ -28,7 +28,6 @@ from .errors import (
     ValidationError,
 )
 from .poly import Poly, im_power, re_power
-from .scalars import FloatBackend
 from .walks import MomentTable
 
 
@@ -143,7 +142,7 @@ def harmonic_correction(fp: Poly, m: int, n: int, cone: ConeSpec | None = None) 
         # coefficient is fixed first and the system is triangular
         kap = -fp.evaluate(one, backend.zero())
         imZ_b = imZ.evaluate(one, cone.b)
-        scale = max(1.0, fp.max_abs_float(), abs(float(imZ_b)))
+        scale = backend.scale(fp, [imZ_b])
         if backend.is_zero(imZ_b, scale):
             raise InternalError(f"sloped-ray value of the degree-{n + 2} imaginary part vanished")
         mu_c = -(fp.evaluate(one, cone.b) + kap * reZ.evaluate(one, cone.b)) / imZ_b
@@ -179,36 +178,28 @@ def build_harmonic_alt(m: int, mu: MomentTable) -> Poly:
         raise ValidationError("m must be >= 1")
     if mu.order < m:
         raise InsufficientMoments(f"need moments of order >= {m}, have {mu.order}")
-    if isinstance(mu.backend, FloatBackend):
-        cone = make_cone(m, mu.backend)
-    else:
-        cone = make_cone(m)
+    cone = cone_for_table(m, mu.backend)
     backend = cone.backend
-    h = im_power(m)
-    if isinstance(backend, FloatBackend):
-        h = h.map_coeffs(backend.convert)
+    h = im_power(m).map_coeffs(backend.lift)
     if m <= 2:
         return h
-    scale = max(1.0, h.max_abs_float())
+    scale = backend.scale(h)
     with backend.workprec():
         for s in range(m - 3, -1, -1):
             res = drift_expansion(h, mu).output
-            scale = max(scale, res.max_abs_float())
+            scale = max(scale, backend.scale(res))
             part = res.homogeneous_part(s)
             if part.is_zero():
                 continue
             Q = Poly.zero()
             for (j, k), c in part.terms.items():
-                if isinstance(backend, FloatBackend) and backend.is_zero(c, scale):
+                if backend.is_zero(c, scale):
                     continue
                 F = eliminate_monomial(j, k, m, cone)[2]
                 Q = Q + F.map_coeffs(lambda v: v * (-2 * c))
             h = h + Q
-            scale = max(scale, h.max_abs_float())
+            scale = max(scale, backend.scale(h))
         final = drift_expansion(h, mu).output
-    if not final.is_zero():
-        if not isinstance(backend, FloatBackend) or not all(
-            backend.is_zero(c, scale) for c in final.terms.values()
-        ):
-            raise InternalError(f"nonzero drift after elimination: {final!r}")
+    if not backend.vanishes(final, scale):
+        raise InternalError(f"nonzero drift after elimination: {final!r}")
     return h

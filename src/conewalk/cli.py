@@ -32,7 +32,7 @@ from .jsonio import (
     walk_to_obj,
 )
 from .linsys import build_matrix
-from .scalars import Backend, FloatBackend, backend_from_name, format_scalar, scalar_to_float
+from .scalars import backend_from_name, format_scalar
 from .walks import MomentTable, WalkSpec, builtin_walks, push_moments
 
 log = logging.getLogger("conewalk")
@@ -79,27 +79,25 @@ def _resolve_moments(args, order: int) -> MomentTable:
             backend = RATIONAL
         return moments_from_obj(obj, backend)
     if getattr(args, "walk", None):
-        w = _load_walk(args.walk)
-        mu = push_moments(w, order)
-        if args.backend:
-            backend = backend_from_name(args.backend)
-            if isinstance(backend, FloatBackend):
-                mu = MomentTable(
-                    order=mu.order,
-                    mu={k: backend.convert(v) for k, v in mu.mu.items()},
-                    backend=backend,
-                )
-        return mu
+        mu = push_moments(_load_walk(args.walk), order)
+        return mu.to(backend_from_name(args.backend)) if args.backend else mu
     raise ValidationError("one of --moments or --walk is required")
 
 
 def _resolve_cone(args) -> ConeSpec:
+    """The cone of --m or --b; without either, the cone of --walk."""
     backend = backend_from_name(args.backend) if getattr(args, "backend", None) else None
-    if getattr(args, "m", None) is not None:
-        return make_cone(args.m, backend)
-    if getattr(args, "b", None) is not None:
+    m, b = getattr(args, "m", None), getattr(args, "b", None)
+    if m is None and b is None and getattr(args, "walk", None):
+        cone = _load_walk(args.walk).cone
+        if cone.m is None:
+            return cone
+        m = cone.m
+    if m is not None:
+        return make_cone(m, backend)
+    if b is not None:
         bk = backend or backend_from_name("rational")
-        return cone_from_slope(bk.parse(args.b), bk)
+        return cone_from_slope(bk.parse(b), bk)
     raise ValidationError("one of --m or --b is required")
 
 
@@ -143,13 +141,7 @@ def cmd_harmonic(args) -> int:
 
 def cmd_exit_moments(args) -> int:
     cone = _resolve_cone(args)
-    mu = _resolve_moments(args, max(2 * args.k, 2))
-    if isinstance(cone.backend, FloatBackend) and not isinstance(mu.backend, FloatBackend):
-        mu = MomentTable(
-            order=mu.order,
-            mu={k: cone.backend.convert(v) for k, v in mu.mu.items()},
-            backend=cone.backend,
-        )
+    mu = _resolve_moments(args, max(2 * args.k, 2)).to(cone.backend)
     res = tau_moment_poly(args.k, cone, mu)
     obj = {"k": args.k, "G": poly_to_obj(res.G), "residual_max": res.residual.max_abs_float()}
     if args.at:
@@ -207,10 +199,8 @@ def cmd_verify(args) -> int:
     for _ in range(args.points):
         y = (rng.randint(1, 50), rng.randint(1, 50))
         r = one_step_residual(res.h, w, y)
-        rf = abs(scalar_to_float(r))
-        worst = max(worst, rf)
-        exact = not isinstance(w.backend, FloatBackend)
-        if (exact and not (r == 0)) or (not exact and rf > 1e-20):
+        worst = max(worst, abs(float(r)))
+        if not w.backend.is_zero(r):
             failures += 1
     obj = {
         "m": m,
@@ -309,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("exit-moments", help="exit-time moment polynomial G_k")
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--m", type=int)
+    sp.add_argument("--m", type=int, help="opening pi/m; without --m or --b, the wedge of --walk")
     sp.add_argument("--b", help="boundary slope when the opening is not pi/m")
     sp.add_argument("--moments")
     sp.add_argument("--walk")

@@ -17,7 +17,6 @@ from .scalars import (
     RATIONAL,
     bigfloat,
     quadratic,
-    scalar_to_float,
 )
 
 #: sentinel slope for alpha = pi/2 (boundary ray is the x2-axis)
@@ -56,7 +55,7 @@ class ConeSpec:
     def b_float(self) -> float:
         if self.vertical:
             raise ValidationError("vertical cone has no finite slope")
-        return scalar_to_float(self.b)
+        return float(self.b)
 
     def p_alpha_float(self) -> float:
         return float(self.p_alpha)
@@ -92,19 +91,24 @@ def make_cone(m: int, backend: Backend | None = None) -> ConeSpec:
     return ConeSpec(m=m, b=b, backend=backend, p_alpha=Fraction(m), half_plane=(m == 1))
 
 
+def cone_for_table(m: int, backend: Backend) -> ConeSpec:
+    """The pi/m wedge a builder runs a moment table over backend in: the
+    slope at the table's precision for a float table, the exact default
+    field otherwise (a rational table mixes with any exact slope)."""
+    if isinstance(backend, FloatBackend):
+        return make_cone(m, backend)
+    return make_cone(m)
+
+
 def cone_from_slope(b, backend: Backend | None = None) -> ConeSpec:
     """General-angle wedge from a slope b = tan(alpha), alpha in (0, pi).
     alpha is the principal angle: atan(b) for b > 0, pi/2 + |atan(b)|-style
     continuation for b < 0."""
     backend = backend or bigfloat()
-    bf = scalar_to_float(b)
-    alpha = math.atan(bf)
+    alpha = math.atan(float(b))
     if alpha <= 0:
         alpha += math.pi
-    if not isinstance(backend, FloatBackend):
-        backend_f = bigfloat()
-    else:
-        backend_f = backend
+    backend_f = backend.float_field()
     with backend_f.workprec():
         alpha_mp = mpmath.atan(backend_f.convert(b))
         if alpha_mp <= 0:

@@ -363,7 +363,7 @@ def prop_alt_oracle(rng, float_bits):
         assert construct_harmonic(m, mu).h == build_harmonic_alt(m, mu), name
     bk = bigfloat(float_bits)
     mu_src = push_moments(walks["diagonal"], 7)
-    mu_f = MomentTable(order=7, mu={k: bk.convert(v) for k, v in mu_src.mu.items()}, backend=bk)
+    mu_f = mu_src.to(bk)
     for m in (5, 6, 7):
         h1 = construct_harmonic(m, mu_f).h
         h2 = build_harmonic_alt(m, mu_f)

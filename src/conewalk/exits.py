@@ -23,7 +23,6 @@ from .errors import (
 )
 from .linsys import build_matrix, solve_system
 from .poly import Poly
-from .scalars import FloatBackend
 from .walks import MomentTable
 
 #: guard band for the float comparison of a degree against pi/alpha
@@ -54,8 +53,7 @@ def poisson_solve(f: Poly, cone: ConeSpec, mu: MomentTable, n: int) -> Poly:
     if mu.order < n:
         raise InsufficientMoments(f"need moments of order >= {n}, have {mu.order}")
     backend = cone.backend
-    if isinstance(backend, FloatBackend):
-        f = f.map_coeffs(backend.convert)
+    f = f.map_coeffs(backend.lift)
     F = Poly.zero()
     with backend.workprec():
         for l in range(n, 1, -1):
@@ -119,11 +117,7 @@ def tau_moment_poly(k: int, cone: ConeSpec, mu: MomentTable) -> MomentPolyResult
             G = first_moment_poly(cone) if j == 1 else poisson_solve(rhs, cone, mu, 2 * j)
             dG = drift_expansion(G, mu).output
             residual = dG - rhs
-            scale = max(1.0, G.max_abs_float(), rhs.max_abs_float())
-            if not residual.is_zero() and (
-                not isinstance(backend, FloatBackend)
-                or not all(backend.is_zero(c, scale) for c in residual.terms.values())
-            ):
+            if not backend.vanishes(residual, backend.scale(G, rhs)):
                 raise InternalError(f"moment recursion residual nonzero: {residual!r}")
             parts.append(G + dG)
     return MomentPolyResult(k=k, cone=cone, G=G, residual=residual)
@@ -155,8 +149,7 @@ def exit_position_moments(cone: ConeSpec, x: tuple) -> ExitPositionMoments:
     x1, x2 = x
     backend = cone.backend
     with backend.workprec():
-        if isinstance(backend, FloatBackend):
-            x1, x2 = backend.convert(x1), backend.convert(x2)
+        x1, x2 = backend.lift(x1), backend.lift(x2)
         g1 = x2 * (cone.b * x1 - x2)
     if not _inside_closed(cone, g1, x2):
         raise ValidationError("start must lie in the closed wedge")
@@ -167,10 +160,5 @@ def exit_position_moments(cone: ConeSpec, x: tuple) -> ExitPositionMoments:
 
 def _inside_closed(cone: ConeSpec, g1, x2) -> bool:
     # inside the closed wedge iff x2 >= 0 and x2 <= b*x1, i.e. both factors
-    # of g1 = x2*(b*x1 - x2) are >= 0
-    def nonneg(v):
-        if isinstance(cone.backend, FloatBackend):
-            return v >= -cone.backend.tolerance
-        return v >= 0
-
-    return nonneg(x2) and nonneg(g1)
+    # of g1 = x2*(b*x1 - x2) are >= 0 (to tolerance on float fields)
+    return all(v >= 0 or cone.backend.is_zero(v) for v in (x2, g1))

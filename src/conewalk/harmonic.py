@@ -14,7 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cones import ConeSpec, VERTICAL, make_cone
+import mpmath
+
+from .cones import ConeSpec, VERTICAL, cone_for_table
 from .drift import drift_expansion
 from .errors import (
     InsufficientMoments,
@@ -24,7 +26,7 @@ from .errors import (
 )
 from .linsys import build_matrix, solve_system
 from .poly import Poly, im_power
-from .scalars import Backend, FloatBackend, scalar_to_float
+from .scalars import bigfloat
 from .walks import MomentTable
 
 
@@ -40,27 +42,13 @@ class HarmonicResult:
     boundary_ok: bool
 
 
-def _cone_for(m: int, backend: Backend) -> ConeSpec:
-    if isinstance(backend, FloatBackend):
-        return make_cone(m, backend)
-    return make_cone(m)
-
-
-def _poly_vanishes(f: Poly, backend: Backend, scale: float) -> bool:
-    if f.is_zero():
-        return True
-    if not isinstance(backend, FloatBackend):
-        return False
-    return all(backend.is_zero(c, scale) for c in f.terms.values())
-
-
 def vanishes_on_boundary(h: Poly, cone: ConeSpec, scale: float = 1.0) -> bool:
     """True when h is identically zero on both rays of the wedge.  Each
     homogeneous part is checked separately (parts of different degree cannot
     cancel along a ray)."""
     backend = cone.backend
     for (i, j), c in h.terms.items():
-        if j == 0 and not (backend.is_zero(c, scale) if isinstance(backend, FloatBackend) else c == 0):
+        if j == 0 and not backend.is_zero(c, scale):
             return False
     with backend.workprec():
         for deg in {i + j for i, j in h.terms}:
@@ -69,10 +57,7 @@ def vanishes_on_boundary(h: Poly, cone: ConeSpec, scale: float = 1.0) -> bool:
                 v = part.coeff(0, deg)
             else:
                 v = part.evaluate(backend.one(), cone.b)
-            if isinstance(backend, FloatBackend):
-                if not backend.is_zero(v, scale):
-                    return False
-            elif not (v == 0):
+            if not backend.is_zero(v, scale):
                 return False
     return True
 
@@ -89,19 +74,17 @@ def construct_harmonic(m: int, mu: MomentTable) -> HarmonicResult:
         raise ValidationError("m must be >= 1")
     if mu.order < m:
         raise InsufficientMoments(f"need moments of order >= {m}, have {mu.order}")
-    cone = _cone_for(m, mu.backend)
+    cone = cone_for_table(m, mu.backend)
     backend = cone.backend
-    u = im_power(m)
-    if isinstance(backend, FloatBackend):
-        u = u.map_coeffs(backend.convert)
+    u = im_power(m).map_coeffs(backend.lift)
     h = u
-    scale = max(1.0, u.max_abs_float())
+    scale = backend.scale(u)
     with backend.workprec():
         for l in range(m - 1, 1, -1):
             g = drift_expansion(h, mu).output
-            scale = max(scale, g.max_abs_float())
+            scale = max(scale, backend.scale(g))
             part = g.homogeneous_part(l - 2)
-            if _poly_vanishes(part, backend, scale):
+            if backend.vanishes(part, scale):
                 continue
             mat = build_matrix(l, cone)
             rhs = [-c for c in part.power_basis_coeffs(l - 2)] + [backend.zero()] * 2
@@ -112,9 +95,9 @@ def construct_harmonic(m: int, mu: MomentTable) -> HarmonicResult:
                     f"interior degree {l} unexpectedly resonant for m={m}"
                 ) from e
             h = h + Poly.from_power_basis(l, a)
-            scale = max(scale, h.max_abs_float())
+            scale = max(scale, backend.scale(h))
         residual = drift_expansion(h, mu).output
-    if not _poly_vanishes(residual, backend, scale):
+    if not backend.vanishes(residual, scale):
         raise InternalError(f"nonzero drift after construction: {residual!r}")
     boundary_ok = vanishes_on_boundary(h, cone, scale)
     return HarmonicResult(
@@ -136,14 +119,15 @@ def check_low_degree_uniqueness(m: int, mu: MomentTable, f: Poly) -> bool:
     cannot use this to 'bless' a non-harmonic polynomial."""
     if f.degree() >= m:
         raise ValidationError(f"degree {f.degree()} not below {m}")
-    cone = _cone_for(m, mu.backend)
-    scale = max(1.0, f.max_abs_float())
+    cone = cone_for_table(m, mu.backend)
+    backend = cone.backend
+    scale = backend.scale(f)
     if not vanishes_on_boundary(f, cone, scale):
         raise ValidationError("f does not vanish on both boundary rays")
     res = drift_expansion(f, mu).output
-    if not _poly_vanishes(res, cone.backend, scale):
+    if not backend.vanishes(res, scale):
         raise ValidationError("f is not one-step harmonic")
-    return _poly_vanishes(f, cone.backend, scale)
+    return backend.vanishes(f, scale)
 
 
 @dataclass(frozen=True)
@@ -171,18 +155,16 @@ def converse_angle_test(n: int, b) -> AngleClassification:
         if n % 2 == 0:
             return AngleClassification(n=n, resonant=True, q=n // 2, kernel_positive=(n == 2))
         return AngleClassification(n=n, resonant=False, q=None, kernel_positive=None)
-    u_val = im_power(n).evaluate(1, b)
-    import mpmath
-
-    if isinstance(u_val, mpmath.mpf):
-        resonant = abs(u_val) <= mpmath.mpf(2) ** (-mpmath.mp.prec // 2) * max(
-            1, abs(scalar_to_float(b)) ** n
+    # at the default float precision: an mpf slope does not carry its own
+    bk = bigfloat()
+    with bk.workprec():
+        u_val = im_power(n).evaluate(1, b)
+        resonant = u_val == 0 or (
+            isinstance(u_val, mpmath.mpf) and bk.is_zero(u_val, abs(b) ** n)
         )
-    else:
-        resonant = u_val == 0
     if not resonant:
         return AngleClassification(n=n, resonant=False, q=None, kernel_positive=None)
-    alpha = math.atan(scalar_to_float(b))
+    alpha = math.atan(float(b))
     if alpha <= 0:
         alpha += math.pi
     q = round(n * alpha / math.pi)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .cones import ConeSpec
 from .errors import InternalError, SingularAngle, ValidationError
 from .poly import Poly, im_power
-from .scalars import Backend, FloatBackend, scalar_to_float
+from .scalars import FloatBackend
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class BoundaryMatrix:
     cone: ConeSpec
 
     def as_float_lists(self) -> list[list[float]]:
-        return [[scalar_to_float(v) for v in row] for row in self.rows]
+        return [[float(v) for v in row] for row in self.rows]
 
 
 def build_matrix(n: int, cone: ConeSpec) -> BoundaryMatrix:
@@ -74,17 +74,10 @@ def build_matrix(n: int, cone: ConeSpec) -> BoundaryMatrix:
 
 
 def _prepare(mat: BoundaryMatrix, rhs):
-    """Copy rows/rhs into mutable lists, converting everything through the
-    cone's backend when it is inexact (mixed Fraction/mpf arithmetic is not
-    closed under subtraction)."""
-    backend = mat.cone.backend
-    if isinstance(backend, FloatBackend):
-        a = [[backend.convert(v) for v in row] for row in mat.rows]
-        b = [backend.convert(v) for v in rhs]
-    else:
-        a = [list(row) for row in mat.rows]
-        b = list(rhs)
-    return a, b
+    """Copy rows/rhs into mutable lists, lifted into the cone's field (mixed
+    Fraction/mpf arithmetic is not closed under subtraction)."""
+    lift = mat.cone.backend.lift
+    return [[lift(v) for v in row] for row in mat.rows], [lift(v) for v in rhs]
 
 
 def _pivot_row(a, col, start, backend, scale):
@@ -121,10 +114,7 @@ def _forward_eliminate(a, b, backend, scale):
         b[row], b[pr] = b[pr], b[row]
         piv = a[row][col]
         for r in range(row + 1, m):
-            if isinstance(backend, FloatBackend):
-                if backend.is_zero(a[r][col], scale):
-                    continue
-            elif a[r][col] == 0:
+            if backend.is_zero(a[r][col], scale):
                 continue
             f = a[r][col] / piv
             for c in range(col, ncols):
@@ -135,16 +125,6 @@ def _forward_eliminate(a, b, backend, scale):
     return pivots
 
 
-def _matrix_scale(a, b) -> float:
-    s = 0.0
-    for row in a:
-        for v in row:
-            s = max(s, abs(scalar_to_float(v)))
-    for v in b:
-        s = max(s, abs(scalar_to_float(v)))
-    return s if s else 1.0
-
-
 def solve_system(mat: BoundaryMatrix, rhs) -> list:
     """Solve the dense system; rhs is the length-(n+1) right-hand side whose
     last two entries must be zero (the boundary rows are homogeneous
@@ -153,13 +133,11 @@ def solve_system(mat: BoundaryMatrix, rhs) -> list:
     if len(rhs) != n + 1:
         raise ValidationError(f"rhs length {len(rhs)}, expected {n + 1}")
     backend = mat.cone.backend
-    scale0 = _matrix_scale(mat.rows, rhs)
-    for v in rhs[-2:]:
-        if not backend.is_zero(v, scale0):
-            raise ValidationError("last two rhs entries (boundary rows) must be zero")
+    if not backend.vanishes(rhs[-2:], backend.scale(*mat.rows, rhs)):
+        raise ValidationError("last two rhs entries (boundary rows) must be zero")
     with backend.workprec():
         a, b = _prepare(mat, rhs)
-        scale = _matrix_scale(a, b)
+        scale = backend.scale(*a, b)
         pivots = _forward_eliminate(a, b, backend, scale)
         if len(pivots) < n + 1:
             raise SingularAngle(f"degree-{n} boundary system is singular for this slope")
@@ -179,7 +157,7 @@ def kernel_dimension(mat: BoundaryMatrix) -> tuple[int, list]:
     backend = mat.cone.backend
     with backend.workprec():
         a, b = _prepare(mat, [backend.zero()] * (mat.n + 1))
-        scale = _matrix_scale(a, b)
+        scale = backend.scale(*a, b)
         pivots = _forward_eliminate(a, b, backend, scale)
         ncols = mat.n + 1
         free = [c for c in range(ncols) if c not in pivots]
@@ -277,14 +255,11 @@ def solve_system_recursive(mat: BoundaryMatrix, rhs) -> list:
         raise ValidationError("recursive path needs degree >= 3")
     if len(rhs) != n + 1:
         raise ValidationError(f"rhs length {len(rhs)}, expected {n + 1}")
-    scale0 = _matrix_scale(mat.rows, rhs)
-    for v in rhs[-2:]:
-        if not backend.is_zero(v, scale0):
-            raise ValidationError("last two rhs entries (boundary rows) must be zero")
+    if not backend.vanishes(rhs[-2:], backend.scale(*mat.rows, rhs)):
+        raise ValidationError("last two rhs entries (boundary rows) must be zero")
     with backend.workprec():
-        if isinstance(backend, FloatBackend):
-            rhs = [backend.convert(v) for v in rhs]
-        c = rhs[: n - 1]  # c[i-1] is the Laplacian row for basis index i
+        # c[i-1] is the Laplacian row for basis index i
+        c = [backend.lift(v) for v in rhs[: n - 1]]
 
         a = [backend.zero()] * (n + 1)
         # even part: a_0 = 0; row index 2k (k >= 1) of the Laplacian block reads
@@ -306,8 +281,7 @@ def solve_system_recursive(mat: BoundaryMatrix, rhs) -> list:
         for k in range(1, tri.n_odd + 1):
             r = r + tri.lambdas[k - 1] * c[2 * k - 1]
         pivot = tri.pivot
-        pscale = _matrix_scale([[pivot]], [r])
-        if backend.is_zero(pivot, pscale):
+        if backend.is_zero(pivot, backend.scale([pivot, r])):
             raise SingularAngle(f"degree-{n} odd pivot vanishes for this slope")
         top = 2 * tri.n_odd + 1
         a[top] = r / pivot

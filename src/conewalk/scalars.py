@@ -252,10 +252,6 @@ def _reduced(a: int, b: int, c: int, d: int) -> QuadElement:
 
 
 def scalar_to_float(v) -> float:
-    if isinstance(v, QuadElement):
-        return float(v)
-    if isinstance(v, mpmath.mpf):
-        return float(v)
     return float(v)
 
 
@@ -277,8 +273,19 @@ def format_scalar(v) -> str:
     return str(Fraction(v))
 
 
+def _values(part):
+    """The scalars of a Poly (its coefficients) or of an iterable of scalars."""
+    terms = getattr(part, "terms", None)
+    return part if terms is None else terms.values()
+
+
 class Backend:
-    """Conversion, zero testing and string round-trips for one scalar field."""
+    """Conversion, zero testing and string round-trips for one scalar field.
+
+    Zero tests, the scale they are relative to and lifting operands into
+    the field differ between exact and float fields, so they live here and
+    callers do not branch on the field's type.  On exact fields they never
+    read a float value."""
 
     name = "abstract"
     exact = True
@@ -300,6 +307,30 @@ class Backend:
 
     def is_zero(self, v, scale=1) -> bool:
         return v == 0
+
+    def vanishes(self, part, scale=1) -> bool:
+        """True when every scalar of part (a Poly or an iterable) is zero."""
+        return all(self.is_zero(v, scale) for v in _values(part))
+
+    def scale(self, *parts):
+        """Magnitude the zero tests of a computation on parts (Polys or
+        iterables of scalars) are relative to; exact fields read no value."""
+        return 1
+
+    def lift(self, v):
+        """v as an operand of this field's arithmetic.  Exact fields take
+        Fraction and QuadElement operands as they are."""
+        return v
+
+    def lifts_from(self, other: "Backend") -> bool:
+        """Whether values of field other need lift() before they mix with
+        this field's values."""
+        return False
+
+    def float_field(self) -> "FloatBackend":
+        """The float field that transcendental functions of this field's
+        values are computed in."""
+        return bigfloat()
 
     def parse(self, s: str):
         raise NotImplementedError
@@ -396,6 +427,19 @@ class FloatBackend(Backend):
         s = abs(mpmath.mpf(scale)) if scale else 1
         return abs(v) <= self.tolerance * max(1, s)
 
+    def scale(self, *parts) -> float:
+        """max(1, largest |value|) over the scalars of parts."""
+        return max([1.0] + [abs(float(v)) for part in parts for v in _values(part)])
+
+    def lift(self, v):
+        return self.convert(v)
+
+    def lifts_from(self, other: Backend) -> bool:
+        return other.name != self.name
+
+    def float_field(self) -> "FloatBackend":
+        return self
+
     def tan_pi_over(self, m: int):
         with self.workprec():
             return mpmath.tan(mpmath.pi / m)
@@ -431,12 +475,3 @@ def backend_from_name(name: str) -> Backend:
     if name == "float":
         return bigfloat()
     raise ValueError(f"unknown backend {name!r}")
-
-
-def backend_of(v) -> Backend:
-    """Best-effort backend for a scalar value."""
-    if isinstance(v, QuadElement):
-        return quadratic(v.d)
-    if isinstance(v, mpmath.mpf):
-        return bigfloat(mpmath.mp.prec)
-    return RATIONAL

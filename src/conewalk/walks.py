@@ -12,16 +12,7 @@ import mpmath
 
 from .cones import ConeSpec, VERTICAL, detect_integer_m, make_cone
 from .errors import DegenerateCorrelation, InsufficientMoments, ValidationError
-from .scalars import (
-    Backend,
-    FloatBackend,
-    QuadElement,
-    RATIONAL,
-    bigfloat,
-    quadratic,
-    scalar_to_float,
-    sqrt_fraction,
-)
+from .scalars import Backend, RATIONAL, bigfloat, quadratic, sqrt_fraction
 
 
 @dataclass(frozen=True)
@@ -41,7 +32,7 @@ class MomentTable:
                     raise ValidationError(f"moment table missing entry ({k},{l})")
         z, o = self.backend.zero(), self.backend.one()
         fixed = {(0, 0): o, (1, 0): z, (0, 1): z, (2, 0): o, (0, 2): o, (1, 1): z}
-        scale = max((abs(scalar_to_float(v)) for v in self.mu.values()), default=1)
+        scale = self.backend.scale(self.mu.values())
         for key, want in fixed.items():
             got = self.mu[key]
             if not self.backend.is_zero(got - want, scale):
@@ -51,6 +42,15 @@ class MomentTable:
         if k + l > self.order:
             raise InsufficientMoments(f"order {self.order} < requested {k}+{l}")
         return self.mu[(k, l)]
+
+    def to(self, backend: Backend) -> "MomentTable":
+        """This table over backend's field; self when its values need no
+        lift there (exact fields mix, and a float field takes its own)."""
+        if not backend.lifts_from(self.backend):
+            return self
+        return MomentTable(
+            order=self.order, mu={k: backend.lift(v) for k, v in self.mu.items()}, backend=backend
+        )
 
 
 @dataclass(frozen=True)
@@ -143,10 +143,7 @@ def build_transform(w: WalkSpec) -> TransformInfo:
             s1 = mpmath.sqrt(backend.convert(s1sq))
             s2 = mpmath.sqrt(backend.convert(w.ey2sq))
     with backend.workprec():
-        if isinstance(backend, FloatBackend):
-            cov, ey2 = backend.convert(w.cov), backend.convert(w.ey2sq)
-        else:
-            cov, ey2 = w.cov, w.ey2sq
+        cov, ey2 = backend.lift(w.cov), backend.lift(w.ey2sq)
         t11 = 1 / s1
         t12 = -cov / (ey2 * s1)
         t22 = 1 / s2

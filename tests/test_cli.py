@@ -41,6 +41,31 @@ def test_exit_moments_value(capsys):
     assert obj["value_at"] == "-1+1*sqrt(3)"  # sqrt(3) - 1
 
 
+def test_exit_moments_without_cone_uses_the_walk_cone(capsys):
+    rc, out, _ = run(capsys, "exit-moments", "--walk", "skewed", "--k", "1", "--at", "1,1")
+    rc4, out4, _ = run(capsys, "exit-moments", "--walk", "skewed", "--k", "1", "--at", "1,1",
+                       "--m", "4")
+    assert rc == rc4 == EXIT_OK and out == out4
+
+
+def test_exit_moments_general_angle_walk(tmp_path, capsys):
+    import mpmath
+
+    atoms = [((1, -1), "1/10"), ((-1, 1), "1/10"), ((1, 0), "1/5"), ((-1, 0), "1/5"),
+             ((0, 1), "1/5"), ((0, -1), "1/5")]
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps({"atoms": [{"dy": list(dy), "p": p} for dy, p in atoms]}))
+    with mpmath.workprec(256):  # floats print with as many digits as the ambient precision
+        rc, out, _ = run(capsys, "exit-moments", "--walk", str(path), "--k", "1")
+    assert rc == EXIT_OK
+    terms = {(t["i"], t["j"]): t["c"] for t in json.loads(out)["G"]["terms"]}
+    assert set(terms) == {(1, 1), (0, 2)}  # G = x2*(b*x1 - x2)
+    with mpmath.workprec(256):
+        assert mpmath.mpf(terms[(0, 2)]) == -1
+        b = mpmath.mpf(terms[(1, 1)])
+        assert abs(b - 2 * mpmath.sqrt(2)) <= mpmath.mpf(2) ** -128
+
+
 def test_transform_skewed(capsys):
     rc, out, _ = run(capsys, "transform", "--walk", "skewed")
     obj = json.loads(out)

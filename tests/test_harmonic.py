@@ -116,6 +116,20 @@ def test_converse_angle_classification():
     assert not cls.resonant
 
 
+def test_converse_angle_test_keeps_the_slope_precision():
+    import mpmath
+
+    from conewalk import bigfloat
+
+    bk = bigfloat(256)
+    b = bk.tan_pi_over(7)
+    with bk.workprec():
+        near = b + mpmath.mpf("1e-12")
+    assert mpmath.mp.prec == 53  # classified at the global precision
+    assert converse_angle_test(7, near).label() == "nonresonant"
+    assert converse_angle_test(7, b).label() == "resonant q=1"
+
+
 def test_float_backend_build():
     from conewalk import bigfloat
     from conewalk.walks import MomentTable

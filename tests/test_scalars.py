@@ -11,7 +11,6 @@ from conewalk import (
     RATIONAL,
     ValidationError,
     backend_from_name,
-    backend_of,
     bigfloat,
     format_scalar,
     quadratic,
@@ -91,11 +90,6 @@ def test_backend_parse_roundtrip():
 def test_scalar_to_float():
     assert scalar_to_float(Fraction(1, 2)) == 0.5
     assert abs(scalar_to_float(QuadElement(0, 1, 2)) - 2**0.5) < 1e-15
-
-
-def test_backend_of():
-    assert backend_of(Fraction(1)) is RATIONAL
-    assert backend_of(QuadElement(0, 1, 5)).name == "quad:5"
 
 
 # ---- QuadElement against a reference model (Hypothesis) ------------------
