@@ -180,6 +180,7 @@ def build_harmonic_alt(m: int, mu: MomentTable) -> Poly:
         raise InsufficientMoments(f"need moments of order >= {m}, have {mu.order}")
     cone = cone_for_table(m, mu.backend)
     backend = cone.backend
+    mu = mu.to(backend)
     h = im_power(m).map_coeffs(backend.lift)
     if m <= 2:
         return h

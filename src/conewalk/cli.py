@@ -79,9 +79,18 @@ def _resolve_moments(args, order: int) -> MomentTable:
             backend = RATIONAL
         return moments_from_obj(obj, backend)
     if getattr(args, "walk", None):
-        mu = push_moments(_load_walk(args.walk), order)
+        w = _load_walk(args.walk)
+        _warn_if_m_differs(args, w)
+        mu = push_moments(w, order)
         return mu.to(backend_from_name(args.backend)) if args.backend else mu
     raise ValidationError("one of --moments or --walk is required")
+
+
+def _warn_if_m_differs(args, w: WalkSpec) -> None:
+    """Log when --m names another opening than the wedge of --walk."""
+    if args.m is not None and w.cone.m != args.m:
+        log.warning("--m %d: the wedge of walk %s has opening pi/%g, not pi/%d",
+                    args.m, args.walk, w.cone.p_alpha_float(), args.m)
 
 
 def _resolve_cone(args) -> ConeSpec:
@@ -141,7 +150,7 @@ def cmd_harmonic(args) -> int:
 
 def cmd_exit_moments(args) -> int:
     cone = _resolve_cone(args)
-    mu = _resolve_moments(args, max(2 * args.k, 2)).to(cone.backend)
+    mu = _resolve_moments(args, max(2 * args.k, 2))
     res = tau_moment_poly(args.k, cone, mu)
     obj = {"k": args.k, "G": poly_to_obj(res.G), "residual_max": res.residual.max_abs_float()}
     if args.at:
@@ -191,6 +200,7 @@ def cmd_verify(args) -> int:
     m = args.m if args.m is not None else w.cone.m
     if m is None:
         raise ValidationError("walk opening is not pi/m; pass --m explicitly")
+    _warn_if_m_differs(args, w)
     mu = push_moments(w, max(m, 2))
     res = construct_harmonic(m, mu)
     rng = random.Random(args.seed)

@@ -37,6 +37,34 @@ def _degree_allowed(n: int, cone: ConeSpec) -> bool:
     return n < float(p) - RESONANCE_GUARD
 
 
+def _solve_top_down(h: Poly, f: Poly, cone: ConeSpec, mu: MomentTable, n: int):
+    """Add to h the homogeneous parts of degrees n..2 that make its one-step
+    drift equal f, top-down: the degree-l pass solves one boundary system
+    for the degree-(l-2) part of f - drift(h) still left, which disturbs
+    only lower degrees.  A part that vanishes relative to the running scale
+    is skipped.  Returns h, its drift and that scale."""
+    backend = cone.backend
+    f = f.map_coeffs(backend.lift)
+    mu = mu.to(backend)
+    scale = backend.scale(h, f)
+    with backend.workprec():
+        for l in range(n, 1, -1):
+            g = drift_expansion(h, mu).output if not h.is_zero() else Poly.zero()
+            left = f - g
+            scale = max(scale, backend.scale(left))
+            part = left.homogeneous_part(l - 2)
+            if backend.vanishes(part, scale):
+                continue
+            rhs = list(part.power_basis_coeffs(l - 2)) + [backend.zero()] * 2
+            try:
+                a = solve_system(build_matrix(l, cone), rhs)
+            except SingularAngle as e:
+                raise InternalError(f"unexpected resonance at degree {l} < pi/alpha") from e
+            h = h + Poly.from_power_basis(l, a)
+            scale = max(scale, backend.scale(h))
+        return h, drift_expansion(h, mu).output, scale
+
+
 def poisson_solve(f: Poly, cone: ConeSpec, mu: MomentTable, n: int) -> Poly:
     """The unique polynomial F of degree n with one-step drift equal to f
     inside the wedge and F identically zero on both boundary rays.
@@ -52,23 +80,7 @@ def poisson_solve(f: Poly, cone: ConeSpec, mu: MomentTable, n: int) -> Poly:
         raise DegreeTooHigh(f"degree {n} >= pi/alpha = {float(cone.p_alpha):g}")
     if mu.order < n:
         raise InsufficientMoments(f"need moments of order >= {n}, have {mu.order}")
-    backend = cone.backend
-    f = f.map_coeffs(backend.lift)
-    F = Poly.zero()
-    with backend.workprec():
-        for l in range(n, 1, -1):
-            g = drift_expansion(F, mu).output if not F.is_zero() else Poly.zero()
-            target = (f - g).homogeneous_part(l - 2)
-            if target.is_zero():
-                continue
-            mat = build_matrix(l, cone)
-            rhs = list(target.power_basis_coeffs(l - 2)) + [backend.zero()] * 2
-            try:
-                a = solve_system(mat, rhs)
-            except SingularAngle as e:
-                raise InternalError(f"unexpected resonance at degree {l} < pi/alpha") from e
-            F = F + Poly.from_power_basis(l, a)
-    return F
+    return _solve_top_down(Poly.zero(), f, cone, mu, n)[0]
 
 
 @dataclass(frozen=True)
@@ -108,14 +120,18 @@ def tau_moment_poly(k: int, cone: ConeSpec, mu: MomentTable) -> MomentPolyResult
     if mu.order < 2 * k:
         raise InsufficientMoments(f"need moments of order >= {2 * k}, have {mu.order}")
     backend = cone.backend
+    mu = mu.to(backend)
     parts = []  # G_l + drift(G_l) for l < j
     with backend.workprec():
         for j in range(1, k + 1):
             rhs = Poly.const(-backend.one())
             for l, part in enumerate(parts, 1):
                 rhs = rhs - math.comb(j, l) * part
-            G = first_moment_poly(cone) if j == 1 else poisson_solve(rhs, cone, mu, 2 * j)
-            dG = drift_expansion(G, mu).output
+            if j == 1:
+                G = first_moment_poly(cone)
+                dG = drift_expansion(G, mu).output
+            else:
+                G, dG, _ = _solve_top_down(Poly.zero(), rhs, cone, mu, 2 * j)
             residual = dG - rhs
             if not backend.vanishes(residual, backend.scale(G, rhs)):
                 raise InternalError(f"moment recursion residual nonzero: {residual!r}")

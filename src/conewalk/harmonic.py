@@ -18,13 +18,8 @@ import mpmath
 
 from .cones import ConeSpec, VERTICAL, cone_for_table
 from .drift import drift_expansion
-from .errors import (
-    InsufficientMoments,
-    InternalError,
-    SingularAngle,
-    ValidationError,
-)
-from .linsys import build_matrix, solve_system
+from .errors import InsufficientMoments, InternalError, ValidationError
+from .exits import _solve_top_down
 from .poly import Poly, im_power
 from .scalars import bigfloat
 from .walks import MomentTable
@@ -77,26 +72,7 @@ def construct_harmonic(m: int, mu: MomentTable) -> HarmonicResult:
     cone = cone_for_table(m, mu.backend)
     backend = cone.backend
     u = im_power(m).map_coeffs(backend.lift)
-    h = u
-    scale = backend.scale(u)
-    with backend.workprec():
-        for l in range(m - 1, 1, -1):
-            g = drift_expansion(h, mu).output
-            scale = max(scale, backend.scale(g))
-            part = g.homogeneous_part(l - 2)
-            if backend.vanishes(part, scale):
-                continue
-            mat = build_matrix(l, cone)
-            rhs = [-c for c in part.power_basis_coeffs(l - 2)] + [backend.zero()] * 2
-            try:
-                a = solve_system(mat, rhs)
-            except SingularAngle as e:
-                raise InternalError(
-                    f"interior degree {l} unexpectedly resonant for m={m}"
-                ) from e
-            h = h + Poly.from_power_basis(l, a)
-            scale = max(scale, backend.scale(h))
-        residual = drift_expansion(h, mu).output
+    h, residual, scale = _solve_top_down(u, Poly.zero(), cone, mu, m - 1)
     if not backend.vanishes(residual, scale):
         raise InternalError(f"nonzero drift after construction: {residual!r}")
     boundary_ok = vanishes_on_boundary(h, cone, scale)

@@ -32,9 +32,6 @@ class BoundaryMatrix:
     rows: tuple  # (n+1) tuples of length n+1
     cone: ConeSpec
 
-    def as_float_lists(self) -> list[list[float]]:
-        return [[float(v) for v in row] for row in self.rows]
-
 
 def build_matrix(n: int, cone: ConeSpec) -> BoundaryMatrix:
     """Assemble the degree-n system.

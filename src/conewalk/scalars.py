@@ -79,39 +79,40 @@ class QuadElement:
         return Fraction(self._b, self._c)
 
     def _operand(self, other):
-        """other as integers (a, b, c) in this field, or None if it is not a
-        scalar this element combines with directly."""
+        """other as integers (a, b, c) plus the field d of the result, or
+        None if it is not a scalar this element combines with directly.  A
+        rational-valued element takes the field of the other operand."""
         if isinstance(other, QuadElement):
             if other.d == self.d or other._b == 0:
-                return other._a, other._b, other._c
+                return other._a, other._b, other._c, self.d
             if self._b == 0:
-                return None  # handled by caller through reflected op
+                return other._a, other._b, other._c, other.d
             raise ValueError(f"cannot mix sqrt({self.d}) and sqrt({other.d})")
         if isinstance(other, int):
-            return other, 0, 1
+            return other, 0, 1, self.d
         if isinstance(other, Fraction):
-            return other.numerator, 0, other.denominator
+            return other.numerator, 0, other.denominator, self.d
         return None
 
-    def _plus(self, a, b, c):
+    def _plus(self, a, b, c, d):
         sa, sb, sc = self._a, self._b, self._c
-        return _reduced(sa * c + a * sc, sb * c + b * sc, sc * c, self.d)
+        return _reduced(sa * c + a * sc, sb * c + b * sc, sc * c, d)
 
-    def _over(self, a, b, c):
+    def _over(self, a, b, c, d):
         sa, sb, sc = self._a, self._b, self._c
         if b == 0:
             if a == 0:
                 raise ZeroDivisionError("division by zero quadratic element")
             if a < 0:
                 a, c = -a, -c
-            return _reduced(sa * c, sb * c, sc * a, self.d)
+            return _reduced(sa * c, sb * c, sc * a, d)
         # (a + b*sqrt(d))/c inverts to c*(a - b*sqrt(d)) / (a^2 - b^2 d)
-        norm = a * a - b * b * self.d
+        norm = a * a - b * b * d
         if norm == 0:
             raise ZeroDivisionError("division by zero quadratic element")
         if norm < 0:
             norm, a, b = -norm, -a, -b
-        return _reduced(c * (sa * a - sb * b * self.d), c * (sb * a - sa * b), sc * norm, self.d)
+        return _reduced(c * (sa * a - sb * b * d), c * (sb * a - sa * b), sc * norm, d)
 
     def __add__(self, other):
         o = self._operand(other)
@@ -125,7 +126,7 @@ class QuadElement:
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        return self._plus(-o[0], -o[1], o[2])
+        return self._plus(-o[0], -o[1], o[2], o[3])
 
     def __rsub__(self, other):
         o = self._operand(other)
@@ -137,16 +138,16 @@ class QuadElement:
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        a, b, c = o
+        a, b, c, d = o
         sa, sb, sc = self._a, self._b, self._c
         if b == 0:
-            return _reduced(sa * a, sb * a, sc * c, self.d)
-        return _reduced(sa * a + sb * b * self.d, sa * b + sb * a, sc * c, self.d)
+            return _reduced(sa * a, sb * a, sc * c, d)
+        return _reduced(sa * a + sb * b * d, sa * b + sb * a, sc * c, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadElement":
-        return _make(1, 0, 1, self.d)._over(self._a, self._b, self._c)
+        return _make(1, 0, 1, self.d)._over(self._a, self._b, self._c, self.d)
 
     def __truediv__(self, other):
         o = self._operand(other)
@@ -158,7 +159,7 @@ class QuadElement:
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        return _make(*o, self.d)._over(self._a, self._b, self._c)
+        return _make(*o)._over(self._a, self._b, self._c, o[3])
 
     def __pow__(self, n: int):
         if n < 0:
@@ -211,13 +212,13 @@ class QuadElement:
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        return self._plus(-o[0], -o[1], o[2]).sign() < 0
+        return self._plus(-o[0], -o[1], o[2], o[3]).sign() < 0
 
     def __gt__(self, other):
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        return self._plus(-o[0], -o[1], o[2]).sign() > 0
+        return self._plus(-o[0], -o[1], o[2], o[3]).sign() > 0
 
     def __le__(self, other):
         return self == other or self < other

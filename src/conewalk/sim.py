@@ -16,11 +16,10 @@ keeps this rule, so it changes no report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .drift import drift_expansion
 from .errors import (
     InsufficientSurvivors,
     MomentCheckInvalid,

@@ -5,12 +5,12 @@ moment tables of the transformed step."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 
-from .cones import ConeSpec, VERTICAL, detect_integer_m, make_cone
+from .cones import ConeSpec, cone_from_slope, detect_integer_m, make_cone
 from .errors import DegenerateCorrelation, InsufficientMoments, ValidationError
 from .scalars import Backend, RATIONAL, bigfloat, quadratic, sqrt_fraction
 
@@ -149,10 +149,8 @@ def build_transform(w: WalkSpec) -> TransformInfo:
         t22 = 1 / s2
     rho = w.rho_sign * math.sqrt(float(w.rho_squared))
     alpha_geo = math.acos(-rho)
-    alpha_formula = math.atan2(math.sqrt(1 - rho * rho), rho) if rho != 0 else math.pi / 2
     # the formula's principal branch, recorded verbatim for comparison
-    if rho != 0:
-        alpha_formula = math.atan(math.sqrt(1 - rho * rho) / rho)
+    alpha_formula = math.atan(math.sqrt(1 - rho * rho) / rho) if rho != 0 else math.pi / 2
     return TransformInfo(
         t11=t11,
         t12=t12,
@@ -173,8 +171,6 @@ def cone_for_walk(w: WalkSpec) -> ConeSpec:
         cone = make_cone(m)
         return cone
     # general angle: slope from tan(alpha) = sqrt(1-rho^2)/(-rho)
-    from .cones import cone_from_slope
-
     backend = bigfloat()
     with backend.workprec():
         r2 = backend.convert(w.rho_squared)

@@ -96,6 +96,17 @@ def test_alt_agrees_exact():
         assert build_harmonic_alt(m, mu) == construct_harmonic(m, mu).h
 
 
+def test_alt_lifts_a_quadratic_table_into_the_float_cone():
+    mu = push_moments(simple_walk(), 5)  # Q(sqrt(2)) moments, float pi/5 slope
+    res = construct_harmonic(5, mu)
+    h = build_harmonic_alt(5, mu)
+    bk = res.cone.backend
+    with bk.workprec():
+        diff = (res.h - h).max_abs_float()
+        scale = max(1.0, res.h.max_abs_float())
+    assert res.boundary_ok and diff <= 2 ** -128 * scale
+
+
 def test_alt_agrees_float():
     from conewalk import bigfloat
     from conewalk.walks import MomentTable

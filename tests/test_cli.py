@@ -33,6 +33,31 @@ def test_harmonic_m2(capsys):
     assert obj["boundary_ok"] and obj["residual_max"] == 0.0
 
 
+def test_harmonic_lifts_the_walk_moments_into_the_float_cone(capsys):
+    rc, out, _ = run(capsys, "harmonic", "--m", "5", "--walk", "simple")
+    assert rc == EXIT_OK and json.loads(out)["boundary_ok"] is True
+
+
+def test_m_other_than_the_walk_opening_warns(tmp_path, capsys, caplog):
+    from conewalk import push_moments, skewed_walk
+    from conewalk.jsonio import moments_to_obj
+
+    path = tmp_path / "skewed8.json"
+    path.write_text(json.dumps(moments_to_obj(push_moments(skewed_walk(), 8))))
+    rc, want, _ = run(capsys, "harmonic", "--m", "8", "--moments", str(path))
+    assert rc == EXIT_OK and not caplog.records
+    rc, out, _ = run(capsys, "harmonic", "--m", "8", "--walk", "skewed")
+    assert rc == EXIT_OK and out == want  # the skewed walk's wedge is pi/4
+    for argv in (("exit-moments", "--k", "1", "--m", "8", "--walk", "skewed"),
+                 ("verify", "--walk", "skewed", "--m", "8", "--points", "3")):
+        run(capsys, *argv)
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 3 and all("pi/4, not pi/8" in w for w in warnings)
+    caplog.clear()
+    run(capsys, "harmonic", "--m", "4", "--walk", "skewed")
+    assert not caplog.records
+
+
 def test_exit_moments_value(capsys):
     rc, out, _ = run(capsys, "exit-moments", "--k", "1", "--m", "3",
                      "--walk", "diagonal", "--at", "1,1")

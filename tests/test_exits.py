@@ -13,10 +13,12 @@ from conewalk import (
     QuadElement,
     ValidationError,
     cone_from_slope,
+    construct_harmonic,
     diagonal_walk,
     drift_expansion,
     exit_position_moments,
     first_moment_poly,
+    im_power,
     make_cone,
     poisson_solve,
     push_moments,
@@ -84,6 +86,19 @@ def test_poisson_solver_properties():
     assert all(j >= 1 for _, j in F.terms)
     for deg, part in F.homogeneous_parts().items():
         assert part.evaluate(Fraction(1), cone.b) == 0
+
+
+def test_poisson_solve_rebuilds_the_harmonic_correction():
+    # the correction is the boundary-vanishing polynomial of degree < m whose
+    # drift cancels that of the classical part, so both builds agree exactly
+    rng = random.Random(8)
+    cases = [(m, make_moment_table(order=m, rng=rng)) for m in (3, 4, 6, 8, 12)]
+    cases += [(m, push_moments(diagonal_walk(), m)) for m in (3, 6)]
+    cases += [(m, push_moments(skewed_walk(), m)) for m in (4, 8)]
+    for m, mu in cases:
+        res = construct_harmonic(m, mu)
+        f = -drift_expansion(im_power(m), mu).output
+        assert poisson_solve(f, res.cone, mu, m - 1) == res.correction
 
 
 def test_poisson_degree_cap():

@@ -138,7 +138,12 @@ def elements(draw, d=None, irrational=False):
 @st.composite
 def element_and_operand(draw):
     x = draw(elements())
-    y = draw(st.one_of(elements(d=x.d), fractions_, st.integers(-(10**9), 10**9)))
+    operands = [elements(d=x.d), fractions_, st.integers(-(10**9), 10**9)]
+    if x.q != 0:
+        # a rational value of another field takes x's field, in either order
+        other = st.sampled_from([d for d in (2, 3, 5, 7) if d != x.d])
+        operands.append(other.flatmap(lambda d: st.builds(QuadElement, fractions_, st.just(0), st.just(d))))
+    y = draw(st.one_of(*operands))
     return x, y
 
 
