@@ -66,7 +66,7 @@ from .linsys import (
     solve_system_recursive,
     triangularize_odd,
 )
-from .poly import Poly, boundary_distance, boundary_ratio, im_power, laplacian, re_power
+from .poly import Poly, boundary_ratio, im_power, laplacian, re_power
 from .scalars import (
     Backend,
     FloatBackend,

@@ -136,17 +136,16 @@ def harmonic_correction(fp: Poly, m: int, n: int, cone: ConeSpec | None = None) 
         raise ValidationError("no sloped ray at opening pi/2")
     backend = cone.backend
     reZ, imZ = re_power(n + 2), im_power(n + 2)
-    with backend.workprec():
-        one = backend.one()
-        # on the ray x2 = 0: reZ(1,0) = 1, imZ(1,0) = 0, so the cosine-part
-        # coefficient is fixed first and the system is triangular
-        kap = -fp.evaluate(one, backend.zero())
-        imZ_b = imZ.evaluate(one, cone.b)
-        scale = backend.scale(fp, [imZ_b])
-        if backend.is_zero(imZ_b, scale):
-            raise InternalError(f"sloped-ray value of the degree-{n + 2} imaginary part vanished")
-        mu_c = -(fp.evaluate(one, cone.b) + kap * reZ.evaluate(one, cone.b)) / imZ_b
-        g = reZ.map_coeffs(lambda c: c * kap) + imZ.map_coeffs(lambda c: c * mu_c)
+    one = backend.one()
+    # on the ray x2 = 0: reZ(1,0) = 1, imZ(1,0) = 0, so the cosine-part
+    # coefficient is fixed first and the system is triangular
+    kap = -fp.evaluate(one, backend.zero())
+    imZ_b = imZ.evaluate(one, cone.b)
+    scale = backend.scale(fp, [imZ_b])
+    if backend.is_zero(imZ_b, scale):
+        raise InternalError(f"sloped-ray value of the degree-{n + 2} imaginary part vanished")
+    mu_c = -(fp.evaluate(one, cone.b) + kap * reZ.evaluate(one, cone.b)) / imZ_b
+    g = reZ.map_coeffs(lambda c: c * kap) + imZ.map_coeffs(lambda c: c * mu_c)
     return g
 
 
@@ -163,8 +162,7 @@ def eliminate_monomial(j: int, k: int, m: int, cone: ConeSpec | None = None):
         return hit
     f = particular_solution(j, k)
     g = harmonic_correction(f, m, j + k, cone)
-    with cone.backend.workprec():
-        out = (f, g, f + g)
+    out = (f, g, f + g)
     _ELIM_CACHE[key] = out
     return out
 
@@ -185,22 +183,21 @@ def build_harmonic_alt(m: int, mu: MomentTable) -> Poly:
     if m <= 2:
         return h
     scale = backend.scale(h)
-    with backend.workprec():
-        for s in range(m - 3, -1, -1):
-            res = drift_expansion(h, mu).output
-            scale = max(scale, backend.scale(res))
-            part = res.homogeneous_part(s)
-            if part.is_zero():
+    for s in range(m - 3, -1, -1):
+        res = drift_expansion(h, mu).output
+        scale = max(scale, backend.scale(res))
+        part = res.homogeneous_part(s)
+        if part.is_zero():
+            continue
+        Q = Poly.zero()
+        for (j, k), c in part.terms.items():
+            if backend.is_zero(c, scale):
                 continue
-            Q = Poly.zero()
-            for (j, k), c in part.terms.items():
-                if backend.is_zero(c, scale):
-                    continue
-                F = eliminate_monomial(j, k, m, cone)[2]
-                Q = Q + F.map_coeffs(lambda v: v * (-2 * c))
-            h = h + Q
-            scale = max(scale, backend.scale(h))
-        final = drift_expansion(h, mu).output
+            F = eliminate_monomial(j, k, m, cone)[2]
+            Q = Q + F.map_coeffs(lambda v: v * (-2 * c))
+        h = h + Q
+        scale = max(scale, backend.scale(h))
+    final = drift_expansion(h, mu).output
     if not backend.vanishes(final, scale):
         raise InternalError(f"nonzero drift after elimination: {final!r}")
     return h

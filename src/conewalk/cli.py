@@ -156,10 +156,11 @@ def cmd_exit_moments(args) -> int:
     if args.at:
         x1s, x2s = args.at.split(",")
         backend = cone.backend
-        with backend.workprec():
-            x1, x2 = backend.parse(x1s), backend.parse(x2s)
-            obj["value_at"] = format_scalar(res.G.evaluate(x1, x2))
-            ep = exit_position_moments(cone, (x1, x2))
+        x1, x2 = backend.parse(x1s), backend.parse(x2s)
+        value = res.G.evaluate(x1, x2)
+        ep = exit_position_moments(cone, (x1, x2))
+        with backend.workprec():  # format_scalar prints the global precision's digits
+            obj["value_at"] = format_scalar(value)
             obj["exit_position"] = {
                 "mean1": format_scalar(ep.mean1),
                 "mean2": format_scalar(ep.mean2),

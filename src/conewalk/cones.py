@@ -7,8 +7,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .errors import AngleNotRepresentable, ValidationError
 from .scalars import (
     Backend,
@@ -105,15 +103,15 @@ def cone_from_slope(b, backend: Backend | None = None) -> ConeSpec:
     alpha is the principal angle: atan(b) for b > 0, pi/2 + |atan(b)|-style
     continuation for b < 0."""
     backend = backend or bigfloat()
+    b = backend.adopt(b)
     alpha = math.atan(float(b))
     if alpha <= 0:
         alpha += math.pi
-    backend_f = backend.float_field()
-    with backend_f.workprec():
-        alpha_mp = mpmath.atan(backend_f.convert(b))
-        if alpha_mp <= 0:
-            alpha_mp += mpmath.pi
-        p_alpha = mpmath.pi / alpha_mp
+    field = backend.float_field()
+    alpha_mp = field.mp.atan(field.convert(b))
+    if alpha_mp <= 0:
+        alpha_mp += field.mp.pi
+    p_alpha = field.mp.pi / alpha_mp
     # detect an exact pi/m opening
     m = detect_integer_m(alpha)
     return ConeSpec(m=m, b=b, backend=backend, p_alpha=Fraction(m) if m else p_alpha)

@@ -72,12 +72,9 @@ def prop_classical_harmonic(rng, float_bits):
         for _ in range(20):
             t = _rand_fraction(rng)
             assert u.evaluate(t, Fraction(0)) == 0
-        with bk.workprec():
-            import mpmath
-
-            t = bk.convert(_rand_fraction(rng, lim=5)) + 1
-            v = u.evaluate(t * mpmath.cos(mpmath.pi / m), t * mpmath.sin(mpmath.pi / m))
-            assert abs(v) <= bk.tolerance * abs(t) ** m
+        t = bk.convert(_rand_fraction(rng, lim=5)) + 1
+        v = u.evaluate(t * bk.mp.cos(bk.mp.pi / m), t * bk.mp.sin(bk.mp.pi / m))
+        assert abs(v) <= bk.tolerance * abs(t) ** m
     return "Laplacian and both ray values of the degree-m wedge polynomials, m <= 8"
 
 
@@ -136,10 +133,9 @@ def prop_drift_oracle(rng, float_bits):
         for _ in range(15):
             y = (rng.randint(1, 15), rng.randint(1, 15))
             direct = one_step_residual(f, w, y)
-            with w.backend.workprec():
-                x = w.map_point(*y)
-                expanded = g.output.evaluate(*x)
-                assert direct == expanded, (y, direct, expanded)
+            x = w.map_point(*y)
+            expanded = g.output.evaluate(*x)
+            assert direct == expanded, (y, direct, expanded)
     return "moment expansion equals the finite-support sum at 45 lattice points"
 
 
@@ -175,11 +171,10 @@ def prop_solver_cross_check(rng, float_bits):
         mat = build_matrix(n, cone)
         rhs = [cone.backend.convert(_rand_fraction(rng)) for _ in range(n - 1)]
         rhs += [cone.backend.zero()] * 2
-        with cone.backend.workprec():
-            x1 = solve_system(mat, rhs)
-            x2 = solve_system_recursive(mat, rhs)
-            scale = max(1.0, max(abs(float(v)) for v in x1))
-            assert all(abs(a - b) <= tol * scale for a, b in zip(x1, x2)), n
+        x1 = solve_system(mat, rhs)
+        x2 = solve_system_recursive(mat, rhs)
+        scale = max(1.0, max(abs(float(v)) for v in x1))
+        assert all(abs(a - b) <= tol * scale for a, b in zip(x1, x2)), n
     return "dense and even/odd solution paths agree, n <= 12, exact and float"
 
 
@@ -190,11 +185,10 @@ def prop_theta_identity(rng, float_bits):
             r = linsys.pivot_identity_residual(n, cone)
             assert r == 0, (m, n, r)
     cone = make_cone(7, bigfloat(float_bits))
-    with cone.backend.workprec():
-        for n in range(3, 13):
-            r = linsys.pivot_identity_residual(n, cone)
-            scale = max(1.0, abs(scalar_to_float(cone.b)) ** n * 2**n)
-            assert abs(r) <= cone.backend.tolerance * scale, (n, r)
+    for n in range(3, 13):
+        r = linsys.pivot_identity_residual(n, cone)
+        scale = max(1.0, abs(scalar_to_float(cone.b)) ** n * 2**n)
+        assert abs(r) <= cone.backend.tolerance * scale, (n, r)
     return "folded pivot times binomial equals the wedge polynomial at (1, b), n <= 12"
 
 
@@ -265,14 +259,13 @@ def prop_harmonic_positivity(rng, float_bits):
         mu = push_moments(w, max(m, 2))
         h = construct_harmonic(m, mu).h
         tr = w.transform
-        with w.backend.workprec():
-            pulled = h.substitute_linear(tr.t11, tr.t12, w.backend.zero(), tr.t22)
-            for y1 in range(1, 51):
-                for y2 in range(1, 51):
-                    if y1 * y1 + y2 * y2 > 2500:
-                        continue
-                    v = pulled.evaluate(y1, y2)
-                    assert scalar_to_float(v) >= 0, (name, y1, y2, v)
+        pulled = h.substitute_linear(tr.t11, tr.t12, w.backend.zero(), tr.t22)
+        for y1 in range(1, 51):
+            for y2 in range(1, 51):
+                if y1 * y1 + y2 * y2 > 2500:
+                    continue
+                v = pulled.evaluate(y1, y2)
+                assert scalar_to_float(v) >= 0, (name, y1, y2, v)
     return "h >= 0 at every quadrant lattice point with |y| <= 50, all built-in walks"
 
 
@@ -303,9 +296,8 @@ def prop_exit_first_moment(rng, float_bits):
         mu[(0, 2)] = cone.backend.one()
         table = MomentTable(order=2, mu=mu, backend=cone.backend)
         g1 = tau_moment_poly(1, cone, table).G
-        with cone.backend.workprec():
-            expect = Poly({(1, 1): cone.b, (0, 2): -cone.backend.one()})
-            d = g1 - expect
+        expect = Poly({(1, 1): cone.b, (0, 2): -cone.backend.one()})
+        d = g1 - expect
         assert all(
             abs(scalar_to_float(c)) <= 1e-70 for c in d.terms.values()
         ) or d.is_zero()
@@ -335,8 +327,7 @@ def prop_exit_pullback(rng, float_bits):
     mu = push_moments(w, 2)
     g1 = tau_moment_poly(1, w.cone, mu).G
     tr = w.transform
-    with w.backend.workprec():
-        pulled = g1.substitute_linear(tr.t11, tr.t12, w.backend.zero(), tr.t22)
+    pulled = g1.substitute_linear(tr.t11, tr.t12, w.backend.zero(), tr.t22)
     assert pulled == Poly({(1, 1): QuadElement(2, 0, 3)}), pulled
     ep = exit_position_moments(w.cone, w.map_point(1, 1))
     assert scalar_to_float(ep.second1) == 5.0 and scalar_to_float(ep.second2) == 3.0
@@ -367,10 +358,9 @@ def prop_alt_oracle(rng, float_bits):
     for m in (5, 6, 7):
         h1 = construct_harmonic(m, mu_f).h
         h2 = build_harmonic_alt(m, mu_f)
-        with bk.workprec():
-            d = h1 - h2
-            scale = max(1.0, h1.max_abs_float())
-            assert all(abs(float(c)) <= bk.tolerance * scale for c in d.terms.values()), m
+        d = h1 - h2
+        scale = max(1.0, h1.max_abs_float())
+        assert all(abs(float(c)) <= bk.tolerance * scale for c in d.terms.values()), m
     return "both builders agree exactly (m <= 4) and to tolerance (m = 5..7)"
 
 

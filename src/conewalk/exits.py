@@ -47,22 +47,21 @@ def _solve_top_down(h: Poly, f: Poly, cone: ConeSpec, mu: MomentTable, n: int):
     f = f.map_coeffs(backend.lift)
     mu = mu.to(backend)
     scale = backend.scale(h, f)
-    with backend.workprec():
-        for l in range(n, 1, -1):
-            g = drift_expansion(h, mu).output if not h.is_zero() else Poly.zero()
-            left = f - g
-            scale = max(scale, backend.scale(left))
-            part = left.homogeneous_part(l - 2)
-            if backend.vanishes(part, scale):
-                continue
-            rhs = list(part.power_basis_coeffs(l - 2)) + [backend.zero()] * 2
-            try:
-                a = solve_system(build_matrix(l, cone), rhs)
-            except SingularAngle as e:
-                raise InternalError(f"unexpected resonance at degree {l} < pi/alpha") from e
-            h = h + Poly.from_power_basis(l, a)
-            scale = max(scale, backend.scale(h))
-        return h, drift_expansion(h, mu).output, scale
+    for l in range(n, 1, -1):
+        g = drift_expansion(h, mu).output if not h.is_zero() else Poly.zero()
+        left = f - g
+        scale = max(scale, backend.scale(left))
+        part = left.homogeneous_part(l - 2)
+        if backend.vanishes(part, scale):
+            continue
+        rhs = list(part.power_basis_coeffs(l - 2)) + [backend.zero()] * 2
+        try:
+            a = solve_system(build_matrix(l, cone), rhs)
+        except SingularAngle as e:
+            raise InternalError(f"unexpected resonance at degree {l} < pi/alpha") from e
+        h = h + Poly.from_power_basis(l, a)
+        scale = max(scale, backend.scale(h))
+    return h, drift_expansion(h, mu).output, scale
 
 
 def poisson_solve(f: Poly, cone: ConeSpec, mu: MomentTable, n: int) -> Poly:
@@ -122,20 +121,19 @@ def tau_moment_poly(k: int, cone: ConeSpec, mu: MomentTable) -> MomentPolyResult
     backend = cone.backend
     mu = mu.to(backend)
     parts = []  # G_l + drift(G_l) for l < j
-    with backend.workprec():
-        for j in range(1, k + 1):
-            rhs = Poly.const(-backend.one())
-            for l, part in enumerate(parts, 1):
-                rhs = rhs - math.comb(j, l) * part
-            if j == 1:
-                G = first_moment_poly(cone)
-                dG = drift_expansion(G, mu).output
-            else:
-                G, dG, _ = _solve_top_down(Poly.zero(), rhs, cone, mu, 2 * j)
-            residual = dG - rhs
-            if not backend.vanishes(residual, backend.scale(G, rhs)):
-                raise InternalError(f"moment recursion residual nonzero: {residual!r}")
-            parts.append(G + dG)
+    for j in range(1, k + 1):
+        rhs = Poly.const(-backend.one())
+        for l, part in enumerate(parts, 1):
+            rhs = rhs - math.comb(j, l) * part
+        if j == 1:
+            G = first_moment_poly(cone)
+            dG = drift_expansion(G, mu).output
+        else:
+            G, dG, _ = _solve_top_down(Poly.zero(), rhs, cone, mu, 2 * j)
+        residual = dG - rhs
+        if not backend.vanishes(residual, backend.scale(G, rhs)):
+            raise InternalError(f"moment recursion residual nonzero: {residual!r}")
+        parts.append(G + dG)
     return MomentPolyResult(k=k, cone=cone, G=G, residual=residual)
 
 
@@ -164,9 +162,8 @@ def exit_position_moments(cone: ConeSpec, x: tuple) -> ExitPositionMoments:
         raise AngleOutOfRange("exit-position second moments require opening < pi/2")
     x1, x2 = x
     backend = cone.backend
-    with backend.workprec():
-        x1, x2 = backend.lift(x1), backend.lift(x2)
-        g1 = x2 * (cone.b * x1 - x2)
+    x1, x2 = backend.lift(x1), backend.lift(x2)
+    g1 = x2 * (cone.b * x1 - x2)
     if not _inside_closed(cone, g1, x2):
         raise ValidationError("start must lie in the closed wedge")
     return ExitPositionMoments(

@@ -14,14 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath
-
 from .cones import ConeSpec, VERTICAL, cone_for_table
 from .drift import drift_expansion
 from .errors import InsufficientMoments, InternalError, ValidationError
 from .exits import _solve_top_down
 from .poly import Poly, im_power
-from .scalars import bigfloat
+from .scalars import MPF, bigfloat
 from .walks import MomentTable
 
 
@@ -45,15 +43,14 @@ def vanishes_on_boundary(h: Poly, cone: ConeSpec, scale: float = 1.0) -> bool:
     for (i, j), c in h.terms.items():
         if j == 0 and not backend.is_zero(c, scale):
             return False
-    with backend.workprec():
-        for deg in {i + j for i, j in h.terms}:
-            part = h.homogeneous_part(deg)
-            if cone.vertical:
-                v = part.coeff(0, deg)
-            else:
-                v = part.evaluate(backend.one(), cone.b)
-            if not backend.is_zero(v, scale):
-                return False
+    for deg in {i + j for i, j in h.terms}:
+        part = h.homogeneous_part(deg)
+        if cone.vertical:
+            v = backend.lift(part.coeff(0, deg))
+        else:
+            v = part.evaluate(backend.one(), cone.b)
+        if not backend.is_zero(v, scale):
+            return False
     return True
 
 
@@ -131,13 +128,11 @@ def converse_angle_test(n: int, b) -> AngleClassification:
         if n % 2 == 0:
             return AngleClassification(n=n, resonant=True, q=n // 2, kernel_positive=(n == 2))
         return AngleClassification(n=n, resonant=False, q=None, kernel_positive=None)
-    # at the default float precision: an mpf slope does not carry its own
+    # an mpf slope is classified at the default float precision
     bk = bigfloat()
-    with bk.workprec():
-        u_val = im_power(n).evaluate(1, b)
-        resonant = u_val == 0 or (
-            isinstance(u_val, mpmath.mpf) and bk.is_zero(u_val, abs(b) ** n)
-        )
+    b = bk.adopt(b)
+    u_val = im_power(n).evaluate(1, b)
+    resonant = u_val == 0 or (isinstance(u_val, MPF) and bk.is_zero(u_val, abs(b) ** n))
     if not resonant:
         return AngleClassification(n=n, resonant=False, q=None, kernel_positive=None)
     alpha = math.atan(float(b))

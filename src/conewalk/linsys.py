@@ -47,26 +47,25 @@ def build_matrix(n: int, cone: ConeSpec) -> BoundaryMatrix:
     if n < 2:
         raise ValidationError("boundary systems start at degree 2")
     backend = cone.backend
-    with backend.workprec():
-        one = backend.one()
-        zero = backend.zero()
-        rows = []
-        for i in range(1, n):
-            row = [zero] * (n + 1)
-            row[i - 1] = backend.convert(math.comb(n - i + 1, 2))
-            row[i + 1] = backend.convert(math.comb(i + 1, 2))
-            rows.append(tuple(row))
-        rows.append(tuple([one] + [zero] * n))
-        if cone.vertical:
-            rows.append(tuple([zero] * n + [one]))
-        else:
-            b = cone.b
-            row = [one]
-            acc = one
-            for _ in range(n):
-                acc = acc * b
-                row.append(acc)
-            rows.append(tuple(row))
+    one = backend.one()
+    zero = backend.zero()
+    rows = []
+    for i in range(1, n):
+        row = [zero] * (n + 1)
+        row[i - 1] = backend.convert(math.comb(n - i + 1, 2))
+        row[i + 1] = backend.convert(math.comb(i + 1, 2))
+        rows.append(tuple(row))
+    rows.append(tuple([one] + [zero] * n))
+    if cone.vertical:
+        rows.append(tuple([zero] * n + [one]))
+    else:
+        b = cone.b
+        row = [one]
+        acc = one
+        for _ in range(n):
+            acc = acc * b
+            row.append(acc)
+        rows.append(tuple(row))
     return BoundaryMatrix(n=n, rows=tuple(rows), cone=cone)
 
 
@@ -132,19 +131,18 @@ def solve_system(mat: BoundaryMatrix, rhs) -> list:
     backend = mat.cone.backend
     if not backend.vanishes(rhs[-2:], backend.scale(*mat.rows, rhs)):
         raise ValidationError("last two rhs entries (boundary rows) must be zero")
-    with backend.workprec():
-        a, b = _prepare(mat, rhs)
-        scale = backend.scale(*a, b)
-        pivots = _forward_eliminate(a, b, backend, scale)
-        if len(pivots) < n + 1:
-            raise SingularAngle(f"degree-{n} boundary system is singular for this slope")
-        # back substitution (matrix is square with full rank; pivot col == row)
-        x = [backend.zero()] * (n + 1)
-        for r in range(n, -1, -1):
-            acc = b[r]
-            for c in range(r + 1, n + 1):
-                acc = acc - a[r][c] * x[c]
-            x[r] = acc / a[r][r]
+    a, b = _prepare(mat, rhs)
+    scale = backend.scale(*a)  # singularity depends on the matrix, not the rhs
+    pivots = _forward_eliminate(a, b, backend, scale)
+    if len(pivots) < n + 1:
+        raise SingularAngle(f"degree-{n} boundary system is singular for this slope")
+    # back substitution (matrix is square with full rank; pivot col == row)
+    x = [backend.zero()] * (n + 1)
+    for r in range(n, -1, -1):
+        acc = b[r]
+        for c in range(r + 1, n + 1):
+            acc = acc - a[r][c] * x[c]
+        x[r] = acc / a[r][r]
     return x
 
 
@@ -152,24 +150,23 @@ def kernel_dimension(mat: BoundaryMatrix) -> tuple[int, list]:
     """Rank deficiency of the system matrix and a basis of its null space
     (each basis vector a length-(n+1) coefficient list)."""
     backend = mat.cone.backend
-    with backend.workprec():
-        a, b = _prepare(mat, [backend.zero()] * (mat.n + 1))
-        scale = backend.scale(*a, b)
-        pivots = _forward_eliminate(a, b, backend, scale)
-        ncols = mat.n + 1
-        free = [c for c in range(ncols) if c not in pivots]
-        basis = []
-        for fc in free:
-            vec = [backend.zero()] * ncols
-            vec[fc] = backend.one()
-            # rows with pivot col p: a[r][p]*vec[p] + sum_{c>p} a[r][c]*vec[c] = 0
-            for r in range(len(pivots) - 1, -1, -1):
-                p = pivots[r]
-                acc = backend.zero()
-                for c in range(p + 1, ncols):
-                    acc = acc + a[r][c] * vec[c]
-                vec[p] = -acc / a[r][p]
-            basis.append(vec)
+    a, b = _prepare(mat, [backend.zero()] * (mat.n + 1))
+    scale = backend.scale(*a)
+    pivots = _forward_eliminate(a, b, backend, scale)
+    ncols = mat.n + 1
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [backend.zero()] * ncols
+        vec[fc] = backend.one()
+        # rows with pivot col p: a[r][p]*vec[p] + sum_{c>p} a[r][c]*vec[c] = 0
+        for r in range(len(pivots) - 1, -1, -1):
+            p = pivots[r]
+            acc = backend.zero()
+            for c in range(p + 1, ncols):
+                acc = acc + a[r][c] * vec[c]
+            vec[p] = -acc / a[r][p]
+        basis.append(vec)
     return len(free), basis
 
 
@@ -209,20 +206,19 @@ def triangularize_odd(n: int, cone: ConeSpec) -> OddTriangularization:
         raise ValidationError("odd triangularization needs degree >= 3")
     if cone.vertical:
         raise ValidationError("vertical boundary has no sloped row to fold")
-    with cone.backend.workprec():
-        b = cone.b
-        n_odd = (n - 1) // 2
-        lambdas = []
-        lam = -b / Fraction(math.comb(n - 1, 2))
+    b = cone.b
+    n_odd = (n - 1) // 2
+    lambdas = []
+    lam = -b / Fraction(math.comb(n - 1, 2))
+    lambdas.append(lam)
+    bpow = b  # b^(2k+1) tracker, currently b^1
+    for k in range(1, n_odd):
+        bpow = bpow * b * b  # now b^(2k+1)
+        lam = -(bpow + lam * math.comb(2 * k + 1, 2)) / Fraction(math.comb(n - 2 * k - 1, 2))
         lambdas.append(lam)
-        bpow = b  # b^(2k+1) tracker, currently b^1
-        for k in range(1, n_odd):
-            bpow = bpow * b * b  # now b^(2k+1)
-            lam = -(bpow + lam * math.comb(2 * k + 1, 2)) / Fraction(math.comb(n - 2 * k - 1, 2))
-            lambdas.append(lam)
-        top = 2 * n_odd + 1
-        pivot = b**top + lambdas[-1] * math.comb(top, 2)
-        theta = pivot if n_odd % 2 == 0 else -pivot
+    top = 2 * n_odd + 1
+    pivot = b**top + lambdas[-1] * math.comb(top, 2)
+    theta = pivot if n_odd % 2 == 0 else -pivot
     return OddTriangularization(
         n=n,
         n_odd=n_odd,
@@ -254,45 +250,43 @@ def solve_system_recursive(mat: BoundaryMatrix, rhs) -> list:
         raise ValidationError(f"rhs length {len(rhs)}, expected {n + 1}")
     if not backend.vanishes(rhs[-2:], backend.scale(*mat.rows, rhs)):
         raise ValidationError("last two rhs entries (boundary rows) must be zero")
-    with backend.workprec():
-        # c[i-1] is the Laplacian row for basis index i
-        c = [backend.lift(v) for v in rhs[: n - 1]]
+    # c[i-1] is the Laplacian row for basis index i
+    c = [backend.lift(v) for v in rhs[: n - 1]]
 
-        a = [backend.zero()] * (n + 1)
-        # even part: a_0 = 0; row index 2k (k >= 1) of the Laplacian block reads
-        # C(n-2k+2, 2) a_(2k-2) + C(2k, 2) a_(2k) = c_(2k-2)
-        for k in range(1, n // 2 + 1):
-            a[2 * k] = (c[2 * k - 2] - math.comb(n - 2 * k + 2, 2) * a[2 * k - 2]) / Fraction(
-                math.comb(2 * k, 2)
-            )
+    a = [backend.zero()] * (n + 1)
+    # even part: a_0 = 0; row index 2k (k >= 1) of the Laplacian block reads
+    # C(n-2k+2, 2) a_(2k-2) + C(2k, 2) a_(2k) = c_(2k-2)
+    for k in range(1, n // 2 + 1):
+        a[2 * k] = (c[2 * k - 2] - math.comb(n - 2 * k + 2, 2) * a[2 * k - 2]) / Fraction(
+            math.comb(2 * k, 2)
+        )
 
-        # odd part: fold interior rows into the sloped boundary row
-        tri = triangularize_odd(n, cone)
-        b = cone.b
-        # boundary residual from the even coefficients: r = -sum_k b^(2k) a_(2k)
-        r = backend.zero()
-        bpow = backend.one()
-        for k in range(0, n // 2 + 1):
-            r = r - bpow * a[2 * k]
-            bpow = bpow * b * b
-        for k in range(1, tri.n_odd + 1):
-            r = r + tri.lambdas[k - 1] * c[2 * k - 1]
-        pivot = tri.pivot
-        if backend.is_zero(pivot, backend.scale([pivot, r])):
-            raise SingularAngle(f"degree-{n} odd pivot vanishes for this slope")
-        top = 2 * tri.n_odd + 1
-        a[top] = r / pivot
-        for k in range(tri.n_odd, 0, -1):
-            a[2 * k - 1] = (c[2 * k - 1] - math.comb(2 * k + 1, 2) * a[2 * k + 1]) / Fraction(
-                math.comb(n - 2 * k + 1, 2)
-            )
+    # odd part: fold interior rows into the sloped boundary row
+    tri = triangularize_odd(n, cone)
+    b = cone.b
+    # boundary residual from the even coefficients: r = -sum_k b^(2k) a_(2k)
+    r = backend.zero()
+    bpow = backend.one()
+    for k in range(0, n // 2 + 1):
+        r = r - bpow * a[2 * k]
+        bpow = bpow * b * b
+    for k in range(1, tri.n_odd + 1):
+        r = r + tri.lambdas[k - 1] * c[2 * k - 1]
+    pivot = tri.pivot
+    if backend.is_zero(pivot, backend.scale(*mat.rows)):
+        raise SingularAngle(f"degree-{n} odd pivot vanishes for this slope")
+    top = 2 * tri.n_odd + 1
+    a[top] = r / pivot
+    for k in range(tri.n_odd, 0, -1):
+        a[2 * k - 1] = (c[2 * k - 1] - math.comb(2 * k + 1, 2) * a[2 * k + 1]) / Fraction(
+            math.comb(n - 2 * k + 1, 2)
+        )
     return a
 
 
 def pivot_identity_residual(n: int, cone: ConeSpec):
     """theta * C(n, 2*n_odd+1) - Im(1 + i b)^n; exactly zero for every slope.
     Exposed for the self-test suite."""
-    with cone.backend.workprec():
-        tri = triangularize_odd(n, cone)
-        u = im_power(n).evaluate(cone.backend.one(), cone.b)
-        return tri.theta * tri.binom - u
+    tri = triangularize_odd(n, cone)
+    u = im_power(n).evaluate(cone.backend.one(), cone.b)
+    return tri.theta * tri.binom - u

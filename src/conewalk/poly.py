@@ -226,7 +226,7 @@ def re_power(m: int) -> Poly:
     return Poly(t)
 
 
-def boundary_distance(m: int, x1: float, x2: float) -> float:
+def _boundary_distance(m: int, x1: float, x2: float) -> float:
     """Euclidean distance from a point to the nearer boundary ray of the
     opening-pi/m wedge."""
     alpha = math.pi / m
@@ -243,7 +243,7 @@ def boundary_ratio(m: int, x1, x2) -> float:
     ang = math.atan2(xf2, xf1)
     if not (0 < ang < alpha):
         raise ValidationError("point not strictly inside the wedge")
-    delta = boundary_distance(m, xf1, xf2)
+    delta = _boundary_distance(m, xf1, xf2)
     if delta == 0:
         raise BoundaryPointError("point lies on the boundary")
     r = math.hypot(xf1, xf2)

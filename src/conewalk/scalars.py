@@ -4,17 +4,22 @@ and arbitrary-precision binary floats.
 Polynomial and matrix code in this package is generic over the scalar type:
 it only needs field arithmetic through the usual Python operators plus a
 backend object for conversions, zero tests and string round-trips.  Exact
-values are ``fractions.Fraction`` or :class:`QuadElement`; floats are
-``mpmath.mpf`` carried at the backend's working precision.
+values are ``fractions.Fraction`` or :class:`QuadElement`.  Floats are mpf
+values of one mpmath context per precision, so each carries its field's
+precision: mpmath rounds an operation to the context of its mpf operand
+(the left one when both are mpf), and mpmath's global precision affects
+only how many digits :func:`format_scalar` prints.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
 
 import mpmath
+from mpmath.ctx_mp_python import _mpf as MPF  # base of every context's mpf type
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
@@ -268,7 +273,7 @@ def format_scalar(v) -> str:
         qa = abs(v.q)
         sgn = "-" if v.q < 0 else "+"
         return f"{v.p}{sgn}{qa}*sqrt({v.d})"
-    if isinstance(v, mpmath.mpf):
+    if isinstance(v, MPF):
         digits = max(17, int(mpmath.mp.prec * 0.30103) + 2)
         return mpmath.nstr(v, digits, strip_zeros=True)
     return str(Fraction(v))
@@ -292,7 +297,9 @@ class Backend:
     exact = True
 
     def workprec(self):
-        """Context manager for arithmetic in this field (no-op when exact)."""
+        """Context manager setting mpmath's global precision to this
+        field's (no-op when exact).  Field arithmetic does not need it; it
+        serves code that calls module-level mpmath functions."""
         import contextlib
 
         return contextlib.nullcontext()
@@ -321,6 +328,11 @@ class Backend:
     def lift(self, v):
         """v as an operand of this field's arithmetic.  Exact fields take
         Fraction and QuadElement operands as they are."""
+        return v
+
+    def adopt(self, v):
+        """A value entering from outside the package, with an mpf moved
+        into this field's precision; exact values stay as they are."""
         return v
 
     def lifts_from(self, other: "Backend") -> bool:
@@ -399,8 +411,11 @@ class QuadraticBackend(Backend):
 class FloatBackend(Backend):
     """mpmath big-float backend with a declared binary precision.
 
-    Zero tests are relative: |v| <= 2^(-precision/2) * max(1, scale), with
-    scale the largest magnitude seen in the computation being checked."""
+    Its values are mpf values of the mpmath context :attr:`mp`, whose
+    precision is the backend's, so arithmetic on them needs no precision
+    block.  Zero tests are relative: |v| <= 2^(-precision/2) * max(1,
+    scale), with scale the largest magnitude seen in the computation being
+    checked."""
 
     exact = False
 
@@ -409,23 +424,26 @@ class FloatBackend(Backend):
             raise ValueError("precision too small")
         self.precision = precision_bits
         self.name = f"float:{precision_bits}"
-        self.tolerance = mpmath.mpf(2) ** (-precision_bits // 2)
+        self.mp = _context(precision_bits)
+        self.tolerance = self.mp.mpf(2) ** (-precision_bits // 2)
 
     def workprec(self):
         return mpmath.workprec(self.precision)
 
     def convert(self, v):
-        with self.workprec():
-            if isinstance(v, QuadElement):
-                return mpmath.mpf(v.p.numerator) / v.p.denominator + (
-                    mpmath.mpf(v.q.numerator) / v.q.denominator
-                ) * mpmath.sqrt(v.d)
-            if isinstance(v, Fraction):
-                return mpmath.mpf(v.numerator) / v.denominator
-            return mpmath.mpf(v)
+        mp = self.mp
+        if type(v) is mp.mpf:
+            return v
+        if isinstance(v, QuadElement):
+            return mp.mpf(v.p.numerator) / v.p.denominator + (
+                mp.mpf(v.q.numerator) / v.q.denominator
+            ) * mp.sqrt(v.d)
+        if isinstance(v, Fraction):
+            return mp.mpf(v.numerator) / v.denominator
+        return mp.mpf(v)
 
     def is_zero(self, v, scale=1) -> bool:
-        s = abs(mpmath.mpf(scale)) if scale else 1
+        s = abs(self.mp.mpf(scale)) if scale else 1
         return abs(v) <= self.tolerance * max(1, s)
 
     def scale(self, *parts) -> float:
@@ -435,6 +453,9 @@ class FloatBackend(Backend):
     def lift(self, v):
         return self.convert(v)
 
+    def adopt(self, v):
+        return self.convert(v) if isinstance(v, MPF) else v
+
     def lifts_from(self, other: Backend) -> bool:
         return other.name != self.name
 
@@ -442,12 +463,19 @@ class FloatBackend(Backend):
         return self
 
     def tan_pi_over(self, m: int):
-        with self.workprec():
-            return mpmath.tan(mpmath.pi / m)
+        return self.mp.tan(self.mp.pi / m)
 
     def parse(self, s: str):
-        with self.workprec():
-            return mpmath.mpf(s)
+        return self.mp.mpf(s)
+
+
+@functools.cache
+def _context(bits: int) -> mpmath.MPContext:
+    """The mpmath context of the float fields of this precision, made on
+    first use."""
+    mp = mpmath.MPContext()
+    mp.prec = bits
+    return mp
 
 
 RATIONAL = RationalBackend()

@@ -185,9 +185,8 @@ def _pullback_value(poly: Poly, w: WalkSpec, y: tuple) -> float:
     """Evaluate a wedge-coordinate polynomial at a quadrant lattice point,
     exactly where the backend allows, then convert to float."""
     tr = w.transform
-    with tr.backend.workprec():
-        x1, x2 = tr.apply(y[0], y[1])
-        return scalar_to_float(poly.evaluate(x1, x2))
+    x1, x2 = tr.apply(y[0], y[1])
+    return scalar_to_float(poly.evaluate(x1, x2))
 
 
 def _mean_se(values: np.ndarray):
@@ -273,9 +272,8 @@ def sample_exit(cfg: SimConfig) -> SimReport:
         from .exits import exit_position_moments
 
         tr = w.transform
-        with tr.backend.workprec():
-            x0 = tr.apply(cfg.start[0], cfg.start[1])
-            ep = exit_position_moments(cone, x0)
+        x0 = tr.apply(cfg.start[0], cfg.start[1])
+        ep = exit_position_moments(cone, x0)
         t11, t12, t22 = _transform_floats(w)
         y = exit_y[~truncated]
         x1 = t11 * y[:, 0] + t12 * y[:, 1]

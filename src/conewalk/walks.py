@@ -8,8 +8,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .cones import ConeSpec, cone_from_slope, detect_integer_m, make_cone
 from .errors import DegenerateCorrelation, InsufficientMoments, ValidationError
 from .scalars import Backend, RATIONAL, bigfloat, quadratic, sqrt_fraction
@@ -30,6 +28,8 @@ class MomentTable:
             for l in range(self.order + 1 - k):
                 if (k, l) not in self.mu:
                     raise ValidationError(f"moment table missing entry ({k},{l})")
+        # an mpf built in another context computes at this field's precision
+        object.__setattr__(self, "mu", {k: self.backend.adopt(v) for k, v in self.mu.items()})
         z, o = self.backend.zero(), self.backend.one()
         fixed = {(0, 0): o, (1, 0): z, (0, 1): z, (2, 0): o, (0, 2): o, (1, 1): z}
         scale = self.backend.scale(self.mu.values())
@@ -139,14 +139,12 @@ def build_transform(w: WalkSpec) -> TransformInfo:
         s2 = backend.sqrt_of(w.ey2sq)
     else:
         backend = bigfloat()
-        with backend.workprec():
-            s1 = mpmath.sqrt(backend.convert(s1sq))
-            s2 = mpmath.sqrt(backend.convert(w.ey2sq))
-    with backend.workprec():
-        cov, ey2 = backend.lift(w.cov), backend.lift(w.ey2sq)
-        t11 = 1 / s1
-        t12 = -cov / (ey2 * s1)
-        t22 = 1 / s2
+        s1 = backend.mp.sqrt(backend.convert(s1sq))
+        s2 = backend.mp.sqrt(backend.convert(w.ey2sq))
+    cov, ey2 = backend.lift(w.cov), backend.lift(w.ey2sq)
+    t11 = 1 / s1
+    t12 = -cov / (ey2 * s1)
+    t22 = 1 / s2
     rho = w.rho_sign * math.sqrt(float(w.rho_squared))
     alpha_geo = math.acos(-rho)
     # the formula's principal branch, recorded verbatim for comparison
@@ -172,9 +170,8 @@ def cone_for_walk(w: WalkSpec) -> ConeSpec:
         return cone
     # general angle: slope from tan(alpha) = sqrt(1-rho^2)/(-rho)
     backend = bigfloat()
-    with backend.workprec():
-        r2 = backend.convert(w.rho_squared)
-        b = mpmath.sqrt(1 - r2) / (-w.rho_sign * mpmath.sqrt(r2))
+    r2 = backend.convert(w.rho_squared)
+    b = backend.mp.sqrt(1 - r2) / (-w.rho_sign * backend.mp.sqrt(r2))
     return cone_from_slope(b, backend)
 
 
@@ -191,16 +188,15 @@ def push_moments(w: WalkSpec, order: int) -> MomentTable:
     tr = w.transform
     backend = tr.backend
     mu = {}
-    with backend.workprec():
-        # precompute X coordinates per atom
-        pts = [(tr.apply(a, b), p) for a, b, p in w.atoms]
-        for k in range(order + 1):
-            for l in range(order + 1 - k):
-                acc = backend.zero()
-                for (x1, x2), p in pts:
-                    acc = acc + p * x1**k * x2**l
-                mu[(k, l)] = acc
-        return MomentTable(order=order, mu=mu, backend=backend)
+    # precompute X coordinates per atom
+    pts = [(tr.apply(a, b), p) for a, b, p in w.atoms]
+    for k in range(order + 1):
+        for l in range(order + 1 - k):
+            acc = backend.zero()
+            for (x1, x2), p in pts:
+                acc = acc + p * x1**k * x2**l
+            mu[(k, l)] = acc
+    return MomentTable(order=order, mu=mu, backend=backend)
 
 
 # ---- built-in example walks -------------------------------------------

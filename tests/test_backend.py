@@ -82,7 +82,7 @@ def test_lift_is_identity_on_exact_fields():
     assert format_scalar(quadratic(2).lift(three)) == "3"  # convert would give 3+0*sqrt(2)
     assert RATIONAL.lift(three) is three
     v = bigfloat(64).lift(Fraction(1, 3))
-    assert isinstance(v, mpmath.mpf)
+    assert v.context is bigfloat(64).mp  # the field's own context, at 64 bits
     with mpmath.workprec(64):
         assert v == mpmath.mpf(1) / 3
 

@@ -38,6 +38,32 @@ def test_harmonic_lifts_the_walk_moments_into_the_float_cone(capsys):
     assert rc == EXIT_OK and json.loads(out)["boundary_ok"] is True
 
 
+#: a walk whose transform needs sqrt(2) and sqrt(3), so it runs on float:256
+W_ATOMS = [((1, 0), "1/4"), ((-1, 0), "1/4"), ((0, 1), "1/6"), ((0, -1), "1/6"), ((0, 0), "1/6")]
+
+
+def write_walk(tmp_path, atoms):
+    path = tmp_path / "walk.json"
+    path.write_text(json.dumps({"atoms": [{"dy": list(dy), "p": p} for dy, p in atoms]}))
+    return str(path)
+
+
+def test_harmonic_m2_on_a_float_table(tmp_path, capsys):
+    for argv in (("--walk", "skewed", "--backend", "float:256"),
+                 ("--walk", write_walk(tmp_path, W_ATOMS))):
+        rc, out, _ = run(capsys, "harmonic", "--m", "2", *argv)
+        assert rc == EXIT_OK, argv
+        assert json.loads(out)["boundary_ok"] is True, argv
+
+
+def test_verify_a_float_transform_walk(tmp_path, capsys):
+    path = write_walk(tmp_path, W_ATOMS)
+    for argv in (("--m", "4"), ()):
+        rc, out, _ = run(capsys, "verify", "--walk", path, *argv)
+        assert rc == EXIT_OK, argv
+        assert json.loads(out)["failures"] == 0, argv
+
+
 def test_m_other_than_the_walk_opening_warns(tmp_path, capsys, caplog):
     from conewalk import push_moments, skewed_walk
     from conewalk.jsonio import moments_to_obj

@@ -139,6 +139,24 @@ def test_theta_identity_float():
             assert abs(pivot_identity_residual(n, cone)) < 2 ** -200
 
 
+@pytest.mark.parametrize("solve", [solve_system, solve_system_recursive])
+@pytest.mark.parametrize("m, n", [(32, 19), (8, 5)])
+def test_float_solves_do_not_call_a_large_rhs_singular(solve, m, n):
+    # whether the system is singular depends on the matrix alone
+    from conewalk import bigfloat
+
+    bk = bigfloat(256)
+    mat = build_matrix(n, make_cone(m, bk))
+    rng = random.Random(n)
+    rhs = [bk.convert(Fraction(rng.randint(-9, 9), rng.randint(1, 6))) for _ in range(n - 1)]
+    rhs += [bk.zero()] * 2
+    s = 10**60
+    x = solve(mat, rhs)
+    xs = solve(mat, [s * v for v in rhs])
+    scale = max(abs(v) for v in xs)
+    assert all(abs(a - s * b) <= bk.tolerance * scale for a, b in zip(xs, x))
+
+
 def test_triangularization_shape():
     tri = triangularize_odd(7, make_cone(4))
     assert tri.n_odd == 3 and len(tri.lambdas) == 3

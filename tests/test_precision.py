@@ -1,0 +1,62 @@
+"""Float fields carry their precision: results on float:N do not depend on
+mpmath's global precision."""
+
+import random
+from fractions import Fraction
+
+import mpmath
+import pytest
+
+from conewalk import (
+    MomentTable,
+    WalkSpec,
+    bigfloat,
+    build_harmonic_alt,
+    construct_harmonic,
+    exit_position_moments,
+    make_cone,
+    one_step_residual,
+    push_moments,
+    tau_moment_poly,
+)
+from conewalk import alt
+
+from conftest import make_moment_table
+
+#: transform needs sqrt(2) and sqrt(3), so its moments are float:256
+W = WalkSpec([(1, 0, Fraction(1, 4)), (-1, 0, Fraction(1, 4)), (0, 1, Fraction(1, 6)),
+              (0, -1, Fraction(1, 6)), (0, 0, Fraction(1, 6))])
+
+
+def bits(v):
+    """The exact binary value of a scalar, or of a Poly's coefficients."""
+    terms = getattr(v, "terms", None)
+    if terms is not None:
+        return sorted((e, bits(c)) for e, c in terms.items())
+    return v._mpf_
+
+
+def results():
+    alt._ELIM_CACHE.clear()  # rebuild every elimination at this global precision
+    bk = bigfloat(256)
+    mu = make_moment_table(7, rng=random.Random(7))
+    mu_f = MomentTable(order=mu.order, mu={k: bk.convert(v) for k, v in mu.mu.items()}, backend=bk)
+    h_w = construct_harmonic(4, push_moments(W, 4)).h
+    ep = exit_position_moments(make_cone(5), (bk.convert(3), bk.convert(Fraction(1, 3))))
+    return {
+        "construct_harmonic": bits(construct_harmonic(7, mu_f).h),
+        "build_harmonic_alt": bits(build_harmonic_alt(7, mu_f)),
+        "tau_moment_poly": bits(tau_moment_poly(3, make_cone(7, bk), mu).G),
+        "push_moments": [bits(v) for _, v in sorted(push_moments(W, 4).mu.items())],
+        "one_step_residual": [bits(one_step_residual(h_w, W, (y, 2 * y + 1))) for y in (1, 5, 30)],
+        "exit_position_moments": [bits(v) for v in (ep.mean1, ep.mean2, ep.second1, ep.second2)],
+    }
+
+
+@pytest.mark.parametrize("ambient", [20, 512])
+def test_float_results_ignore_the_global_precision(ambient):
+    want = results()
+    with mpmath.workprec(ambient):
+        got = results()
+    for name in want:
+        assert got[name] == want[name], name
