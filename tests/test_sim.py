@@ -144,3 +144,31 @@ def test_import_leaves_numpy_unloaded():
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_pinned_report():
+    """Every float of a fixed report, as its exact hex form.  The config has
+    three chunks, the last one partial, and one path truncated at the cap."""
+    cfg = SimConfig(walk=diagonal_walk(), start=(1, 1), paths=2 * CHUNK + 777, seed=9,
+                    max_steps=1000, checks=("tau-mean", "exit-position", "harmonicity"))
+    rep = sample_exit(cfg)
+    assert (rep.paths, rep.seed, rep.truncated) == (2 * CHUNK + 777, 9, 1)
+    assert [v.hex() for v in rep.tau_mean_bracket] == ["0x1.e9e481ab781dfp+0", "0x1.ebd49bd97c72ap+0"]
+    completed = "completed paths only (131848)"
+    assert [
+        (c.name, c.estimate.hex(), c.std_error.hex(), c.target.hex(), c.z.hex(), c.passed, c.note)
+        for c in rep.checks
+    ] == [
+        ("tau-mean", "0x1.ebd49bd97c72ap+0", "0x1.6eb0ccbe346b2p-6", "0x1.0000000000000p+1",
+         "-0x1.c29802c018037p+1", False, "bracket=(1.91364,1.92121), truncated=1"),
+        ("exit-mean-x1", "0x1.bb78538aff875p+0", "0x1.efe42b958267dp-9", "0x1.bb67ae8584caap+0",
+         "0x1.12f701d47f054p-4", True, completed),
+        ("exit-mean-x2", "0x1.fc8f36f0bb246p-1", "0x1.ecaf04a4d4329p-9", "0x1.0000000000000p+0",
+         "-0x1.c9a8ad17888bap+0", True, completed),
+        ("exit-second-x1", "0x1.38d6aff2a98c6p+2", "0x1.27b01c56ac766p-4", "0x1.4000000000000p+2",
+         "-0x1.8ccf6ee71f213p+0", True, completed),
+        ("exit-second-x2", "0x1.6cbc32c3105b3p+1", "0x1.25b87c355ab8ep-5", "0x1.8000000000000p+1",
+         "-0x1.0ca7138cacee5p+2", False, completed),
+        ("harmonicity", "0x1.fc44a9cc516e7p+2", "0x1.dc065edaf4db4p-5", "0x1.0000000000000p+3",
+         "-0x1.00e2436afa28cp+0", True, ""),
+    ]
