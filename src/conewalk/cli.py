@@ -204,14 +204,15 @@ def cmd_verify(args) -> int:
     _warn_if_m_differs(args, w)
     mu = push_moments(w, max(m, 2))
     res = construct_harmonic(m, mu)
+    backend = res.cone.backend
     rng = random.Random(args.seed)
     worst = 0.0
     failures = 0
     for _ in range(args.points):
         y = (rng.randint(1, 50), rng.randint(1, 50))
-        r = one_step_residual(res.h, w, y)
+        r = one_step_residual(res.h, w, y, backend)
         worst = max(worst, abs(float(r)))
-        if not w.backend.is_zero(r):
+        if not backend.is_zero(r):
             failures += 1
     obj = {
         "m": m,

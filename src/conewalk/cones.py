@@ -12,6 +12,7 @@ from .scalars import (
     Backend,
     FloatBackend,
     QuadElement,
+    QuadraticBackend,
     RATIONAL,
     bigfloat,
     quadratic,
@@ -92,28 +93,43 @@ def make_cone(m: int, backend: Backend | None = None) -> ConeSpec:
 def cone_for_table(m: int, backend: Backend) -> ConeSpec:
     """The pi/m wedge a builder runs a moment table over backend in: the
     slope at the table's precision for a float table, the exact default
-    field otherwise (a rational table mixes with any exact slope)."""
+    field otherwise (a rational table mixes with any exact slope), and the
+    float field when the table's quadratic field is not the slope's."""
     if isinstance(backend, FloatBackend):
         return make_cone(m, backend)
-    return make_cone(m)
+    cone = make_cone(m)
+    slope = cone.backend
+    if isinstance(backend, QuadraticBackend) and isinstance(slope, QuadraticBackend) and (
+        backend.d != slope.d
+    ):
+        return make_cone(m, backend.float_field())
+    return cone
 
 
 def cone_from_slope(b, backend: Backend | None = None) -> ConeSpec:
     """General-angle wedge from a slope b = tan(alpha), alpha in (0, pi).
     alpha is the principal angle: atan(b) for b > 0, pi/2 + |atan(b)|-style
-    continuation for b < 0."""
+    continuation for b < 0.  b is converted into backend's field; the
+    opening is pi/m only when b equals tan(pi/m) within the field's
+    tolerance."""
     backend = backend or bigfloat()
-    b = backend.adopt(b)
+    try:
+        b = backend.convert(b)
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"slope {b!r} is not in {backend.name}") from e
     alpha = math.atan(float(b))
     if alpha <= 0:
         alpha += math.pi
     field = backend.float_field()
-    alpha_mp = field.mp.atan(field.convert(b))
+    b_mp = field.convert(b)
+    alpha_mp = field.mp.atan(b_mp)
     if alpha_mp <= 0:
         alpha_mp += field.mp.pi
     p_alpha = field.mp.pi / alpha_mp
-    # detect an exact pi/m opening
-    m = detect_integer_m(alpha)
+    # an exact pi/m opening: the nearest m, confirmed in the field
+    m = round(math.pi / alpha)
+    if not (1 <= m <= 64 and field.is_zero(b_mp - field.tan_pi_over(m))):
+        m = None
     return ConeSpec(m=m, b=b, backend=backend, p_alpha=Fraction(m) if m else p_alpha)
 
 

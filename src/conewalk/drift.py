@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 from .errors import InsufficientMoments
 from .poly import Poly, laplacian
+from .scalars import Backend
 from .walks import MomentTable, WalkSpec
 
 
@@ -47,14 +48,20 @@ def drift_expansion(f: Poly, mu: MomentTable) -> DriftExpansion:
     return DriftExpansion(input=f, output=half + rem, laplacian_part=half, remainder=rem)
 
 
-def one_step_residual(h: Poly, w: WalkSpec, y: tuple[int, int]):
+def one_step_residual(h: Poly, w: WalkSpec, y: tuple[int, int], backend: Backend | None = None):
     """Exact finite sum  sum_atoms p * h(T(y+dy)) - h(T y)  at a quadrant
     lattice point y; zero iff h is one-step harmonic there.  This is the
-    independent oracle for the symbolic expansion."""
+    independent oracle for the symbolic expansion.  backend is h's field
+    when it is not the walk's (a float cone over an exact walk): the lattice
+    images are lifted into it."""
+    lift = (backend or w.backend).lift
+
+    def image(z1, z2):
+        x1, x2 = w.map_point(z1, z2)
+        return lift(x1), lift(x2)
+
     y1, y2 = y
-    x1, x2 = w.map_point(y1, y2)
-    acc = -h.evaluate(x1, x2)
+    acc = -h.evaluate(*image(y1, y2))
     for a, b, p in w.atoms:
-        z1, z2 = w.map_point(y1 + a, y2 + b)
-        acc = acc + p * h.evaluate(z1, z2)
+        acc = acc + p * h.evaluate(*image(y1 + a, y2 + b))
     return acc

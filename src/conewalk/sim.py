@@ -16,6 +16,7 @@ keeps this rule, so it changes no report.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,9 @@ BLOCK_SWITCH = 512
 
 #: most draws one block of steps may take, so the block arrays stay small
 BLOCK_DRAWS = 16384
+
+#: buckets of the atom lookup table: a draw u falls in floor(u * ATOM_TABLE)
+ATOM_TABLE = 1 << 12
 
 #: acceptance band around -p_alpha/2 for the tail-slope fit
 TAIL_BAND = 0.15
@@ -103,11 +107,42 @@ def _chunk_rng(seed: int, chunk_index: int, substream: int = 0) -> np.random.Gen
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _path_dtype(cfg: SimConfig):
+    """int32 when no position can reach 2^31 within max_steps, else int64.
+    A walk has a nonzero jump, so tau <= max_steps stays below the bound too."""
+    jump = max(max(abs(a), abs(b)) for a, b, _ in cfg.walk.atoms)
+    return np.int32 if max(cfg.start) + cfg.max_steps * jump < 2**31 else np.int64
+
+
+def _atom_sampler(atoms):
+    """pick(u): the atom index of each draw u in [0, 1), the number of
+    cumulative-probability edges <= u, as np.searchsorted(cum, u,
+    side="right") gives it.  A table over the ATOM_TABLE buckets
+    floor(u * ATOM_TABLE) answers the draws whose bucket holds no edge;
+    searchsorted answers the few in the buckets that do."""
+    cum = np.cumsum(np.array([float(p) for _, _, p in atoms]))
+    cum[-1] = 1.0
+    lo = np.arange(ATOM_TABLE) / ATOM_TABLE  # bucket edges are exact dyadics
+    table = np.searchsorted(cum, lo, side="right")
+    split = table != np.searchsorted(cum, lo + 1 / ATOM_TABLE, side="left")
+
+    def pick(u: np.ndarray) -> np.ndarray:
+        bucket = (u * ATOM_TABLE).astype(np.intp)
+        j = table[bucket]
+        fix = np.flatnonzero(split[bucket])
+        if fix.size:
+            j[fix] = np.searchsorted(cum, u[fix], side="right")
+        return j
+
+    return pick
+
+
 def _simulate_exits(cfg: SimConfig):
     """Exit time and exit point for every path.
 
     Returns (tau, exit_y, truncated_mask): truncated paths carry
-    tau = max_steps and their last position instead of an exit point.
+    tau = max_steps and their last position instead of an exit point.  The
+    integer arrays have the dtype _path_dtype picks for the config.
 
     While more than BLOCK_SWITCH paths of a chunk survive, each step takes
     one draw per survivor.  Below that, a block of k steps takes k draws per
@@ -117,21 +152,27 @@ def _simulate_exits(cfg: SimConfig):
     consumes exactly the draws that one-at-a-time stepping would give it.
     After a block without an exit k doubles; after an exit at row r it
     becomes 2*(r+1), capped by the steps left and by BLOCK_DRAWS."""
+    # imported here: the simulator's import path does not load logging
+    import logging
+
+    log = logging.getLogger(__name__)
+    debug = log.isEnabledFor(logging.DEBUG)
     atoms = cfg.walk.atoms
-    jx = np.array([a for a, _, _ in atoms], dtype=np.int64)
-    jy = np.array([b for _, b, _ in atoms], dtype=np.int64)
-    cum = np.cumsum(np.array([float(p) for _, _, p in atoms]))
-    cum[-1] = 1.0
-    tau = np.empty(cfg.paths, dtype=np.int64)
-    exit_y = np.empty((cfg.paths, 2), dtype=np.int64)
+    dtype = _path_dtype(cfg)
+    jx = np.array([a for a, _, _ in atoms], dtype=dtype)
+    jy = np.array([b for _, b, _ in atoms], dtype=dtype)
+    pick = _atom_sampler(atoms)
+    tau = np.empty(cfg.paths, dtype=dtype)
+    exit_y = np.empty((cfg.paths, 2), dtype=dtype)
     truncated = np.zeros(cfg.paths, dtype=bool)
     n_chunks = (cfg.paths + CHUNK - 1) // CHUNK
     for ci in range(n_chunks):
+        started = time.perf_counter() if debug else 0.0
         lo, hi = ci * CHUNK, min((ci + 1) * CHUNK, cfg.paths)
         rng = _chunk_rng(cfg.seed, ci)
         idx = np.arange(lo, hi)
-        x = np.full(hi - lo, cfg.start[0], dtype=np.int64)
-        y = np.full(hi - lo, cfg.start[1], dtype=np.int64)
+        x = np.full(hi - lo, cfg.start[0], dtype=dtype)
+        y = np.full(hi - lo, cfg.start[1], dtype=dtype)
         buf = np.empty(0)  # drawn from rng but not yet consumed
         step = 0
         k = 1
@@ -142,10 +183,10 @@ def _simulate_exits(cfg: SimConfig):
             if buf.size < need:
                 fresh = rng.random(need - buf.size)
                 buf = np.concatenate((buf, fresh)) if buf.size else fresh
-            j = np.searchsorted(cum, buf[:need].reshape(k, n), side="right")
+            j = pick(buf[:need]).reshape(k, n)
             bx, by = jx[j], jy[j]
             if k > 1:  # a one-row cumsum would only copy
-                bx, by = bx.cumsum(axis=0), by.cumsum(axis=0)
+                bx, by = bx.cumsum(axis=0, dtype=dtype), by.cumsum(axis=0, dtype=dtype)
             bx += x
             by += y
             out = (bx <= 0) | (by <= 0)
@@ -169,7 +210,27 @@ def _simulate_exits(cfg: SimConfig):
             exit_y[idx, 0] = x
             exit_y[idx, 1] = y
             truncated[idx] = True
+        if debug:
+            _log_chunk(log, ci, tau[lo:hi], idx.size, cfg.max_steps, time.perf_counter() - started)
     return tau, exit_y, truncated
+
+
+def _log_chunk(log, ci: int, tau: np.ndarray, n_trunc: int, max_steps: int, seconds: float):
+    """One debug line for a finished chunk: survivors after each dyadic
+    step count, truncated paths and path-steps per second."""
+    survivors = []
+    s = 1
+    while s < max_steps:
+        left = int((tau > s).sum())
+        if not left:
+            break
+        survivors.append(f"{s}:{left}")
+        s *= 2
+    steps = int(tau.sum(dtype=np.int64))
+    log.debug(
+        "sim chunk %d: %d paths, survivors %s, truncated %d, %.3g steps/s",
+        ci, tau.size, " ".join(survivors) or "none", n_trunc, steps / max(seconds, 1e-9),
+    )
 
 
 def _transform_floats(w: WalkSpec):
@@ -233,13 +294,16 @@ def sample_exit(cfg: SimConfig) -> SimReport:
         mu = push_moments(w, 2)
         g1 = tau_moment_poly(1, cone, mu).G
         target = _pullback_value(g1, w, cfg.start)
-        done = tau[~truncated]
-        capped = tau.astype(np.float64)
+        # every partial sum of integer exit times below 2^53 is exact, so
+        # the mean and std of tau equal those of its float64 copy
+        capped = tau if cfg.paths * cfg.max_steps < 2**53 else tau.astype(np.float64)
         est_hi, se_hi = _mean_se(capped)
+        done = capped[~truncated] if n_trunc else capped
         if done.size:
-            est_lo, se_lo = _mean_se(done.astype(np.float64))
+            est_lo, se_lo = _mean_se(done)
         else:
             est_lo, se_lo = 0.0, 0.0
+        del capped, done
         bracket = (est_lo, est_hi)
         passed = est_lo - 3 * se_lo <= target <= est_hi + 3 * se_hi
         z, _ = _zpass(est_hi, se_hi, target)
@@ -259,8 +323,7 @@ def sample_exit(cfg: SimConfig) -> SimReport:
         mu = push_moments(w, 4)
         g2 = tau_moment_poly(2, cone, mu).G
         target = _pullback_value(g2, w, cfg.start)
-        sq = tau.astype(np.float64) ** 2
-        est, se = _mean_se(sq)
+        est, se = _mean_se(np.square(tau, dtype=np.float64))
         z, ok = _zpass(est, se, target)
         results.append(
             CheckResult(
@@ -275,16 +338,23 @@ def sample_exit(cfg: SimConfig) -> SimReport:
         x0 = tr.apply(cfg.start[0], cfg.start[1])
         ep = exit_position_moments(cone, x0)
         t11, t12, t22 = _transform_floats(w)
-        y = exit_y[~truncated]
-        x1 = t11 * y[:, 0] + t12 * y[:, 1]
-        x2 = t22 * y[:, 1].astype(np.float64)
-        for name, sample, target in (
-            ("exit-mean-x1", x1, scalar_to_float(ep.mean1)),
-            ("exit-mean-x2", x2, scalar_to_float(ep.mean2)),
-            ("exit-second-x1", x1**2, scalar_to_float(ep.second1)),
-            ("exit-second-x2", x2**2, scalar_to_float(ep.second2)),
+        y = exit_y[~truncated] if n_trunc else exit_y
+
+        def moments(sample):  # then its square, in place: x**2 is np.square(x)
+            return _mean_se(sample), _mean_se(np.square(sample, out=sample))
+
+        # one float sample alive at a time
+        x1 = t11 * y[:, 0]
+        x1 += t12 * y[:, 1]
+        mean1, second1 = moments(x1)
+        del x1
+        mean2, second2 = moments(t22 * y[:, 1])
+        for name, (est, se), target in (
+            ("exit-mean-x1", mean1, scalar_to_float(ep.mean1)),
+            ("exit-mean-x2", mean2, scalar_to_float(ep.mean2)),
+            ("exit-second-x1", second1, scalar_to_float(ep.second1)),
+            ("exit-second-x2", second2, scalar_to_float(ep.second2)),
         ):
-            est, se = _mean_se(sample)
             z, ok = _zpass(est, se, target)
             results.append(
                 CheckResult(
@@ -329,16 +399,13 @@ def _harmonicity_check(cfg: SimConfig) -> CheckResult:
     vals = np.array(
         [_pullback_value(h, w, (cfg.start[0] + a, cfg.start[1] + b)) for a, b, _ in w.atoms]
     )
-    probs = np.array([float(p) for _, _, p in w.atoms])
+    pick = _atom_sampler(w.atoms)
     counts = np.zeros(len(w.atoms), dtype=np.int64)
-    cum = np.cumsum(probs)
-    cum[-1] = 1.0
     n_chunks = (cfg.paths + CHUNK - 1) // CHUNK
     for ci in range(n_chunks):
         count = min((ci + 1) * CHUNK, cfg.paths) - ci * CHUNK
         rng = _chunk_rng(cfg.seed, ci, substream=1)
-        picks = np.searchsorted(cum, rng.random(count), side="right")
-        counts += np.bincount(picks, minlength=len(w.atoms))
+        counts += np.bincount(pick(rng.random(count)), minlength=len(w.atoms))
     n = counts.sum()
     est = float(np.dot(counts, vals) / n)
     var = float(np.dot(counts, (vals - est) ** 2) / max(n - 1, 1))

@@ -64,6 +64,21 @@ def test_verify_a_float_transform_walk(tmp_path, capsys):
         assert json.loads(out)["failures"] == 0, argv
 
 
+def test_verify_a_float_cone_over_an_exact_walk(capsys):
+    """The simple walk maps through sqrt(2); its pi/5 h is float:256."""
+    rc, out, _ = run(capsys, "verify", "--walk", "simple", "--m", "5", "--points", "20")
+    obj = json.loads(out)
+    assert rc == EXIT_OK and obj["failures"] == 0 and obj["boundary_ok"] is True
+    assert 0 < obj["worst_residual"] < 1e-60
+
+
+def test_harmonic_across_quadratic_fields(capsys):
+    """The diagonal walk's moments lie in Q(sqrt 3), tan(pi/8) in Q(sqrt 2)."""
+    for cmd in ("harmonic", "verify"):
+        rc, out, _ = run(capsys, cmd, "--m", "8", "--walk", "diagonal")
+        assert rc == EXIT_OK and json.loads(out)["boundary_ok"] is True, cmd
+
+
 def test_m_other_than_the_walk_opening_warns(tmp_path, capsys, caplog):
     from conewalk import push_moments, skewed_walk
     from conewalk.jsonio import moments_to_obj

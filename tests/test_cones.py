@@ -10,9 +10,15 @@ from conewalk import (
     QuadElement,
     RATIONAL,
     ValidationError,
+    bigfloat,
+    build_matrix,
     cone_from_slope,
+    construct_harmonic,
     detect_integer_m,
+    diagonal_walk,
+    kernel_dimension,
     make_cone,
+    push_moments,
     quadratic,
 )
 
@@ -70,3 +76,28 @@ def test_detect_integer_m():
 def test_invalid_m():
     with pytest.raises(ValidationError):
         make_cone(0)
+
+
+def test_cone_for_a_table_of_another_quadratic_field():
+    """Q(sqrt 3) moments and the Q(sqrt 2) slope tan(pi/8) meet in float:256."""
+    res = construct_harmonic(8, push_moments(diagonal_walk(), 8))
+    assert res.cone.backend.name == "float:256" and res.cone.m == 8
+    assert res.boundary_ok
+    assert construct_harmonic(3, push_moments(diagonal_walk(), 8)).cone.backend == quadratic(3)
+
+
+def test_float_slope_is_taken_into_the_field():
+    """A 53-bit sqrt(3) is not tan(pi/3) at 256 bits, so the cone is a
+    general one with no kernel at degree 3; at 32 bits it is pi/3."""
+    field = bigfloat()
+    cone = cone_from_slope(math.sqrt(3))
+    assert cone.m is None and cone.b.context is field.mp and cone.b == math.sqrt(3)
+    assert kernel_dimension(build_matrix(3, cone))[0] == 0
+    assert abs(float(cone.p_alpha) - 3) < 1e-15
+    exact = cone_from_slope(field.tan_pi_over(3))
+    assert exact.m == 3 and exact.p_alpha == 3
+    assert kernel_dimension(build_matrix(3, exact))[0] == 1
+    assert cone_from_slope(math.sqrt(3), bigfloat(32)).m == 3
+    assert cone_from_slope(QuadElement(0, 1, 3), quadratic(3)).m == 3
+    with pytest.raises(ValidationError):
+        cone_from_slope(field.mp.mpf(1.5), RATIONAL)

@@ -1,9 +1,11 @@
 """Monte Carlo simulator: reproducibility, exactness cross-checks, and the
 moment-finiteness guards."""
 
+import logging
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +23,7 @@ from conewalk import (
     simple_walk,
     skewed_walk,
 )
-from conewalk.sim import BLOCK_SWITCH, CHUNK, _chunk_rng, _simulate_exits
+from conewalk.sim import BLOCK_SWITCH, CHUNK, _chunk_rng, _path_dtype, _simulate_exits
 
 
 def _reference_exits(cfg):
@@ -125,7 +127,7 @@ def test_block_stepping_matches_one_step_reference(walk, start, paths, max_steps
     got = _simulate_exits(cfg)
     want = _reference_exits(cfg)
     for g, w in zip(got, want):
-        assert g.dtype == w.dtype and (g == w).all()
+        assert g.dtype == (bool if w.dtype == bool else _path_dtype(cfg)) and (g == w).all()
     tau, _, truncated = want
     # every chunk starts above the single-step threshold and ends below it
     assert paths % CHUNK > BLOCK_SWITCH and truncated.sum() < BLOCK_SWITCH
@@ -172,3 +174,75 @@ def test_pinned_report():
         ("harmonicity", "0x1.fc44a9cc516e7p+2", "0x1.dc065edaf4db4p-5", "0x1.0000000000000p+3",
          "-0x1.00e2436afa28cp+0", True, ""),
     ]
+
+
+def test_path_dtype_boundary():
+    """int32 exactly while max(start) + max_steps * max|jump| < 2^31."""
+    d = diagonal_walk()  # largest jump 1
+    big = WalkSpec([(2, 0, Fraction(1, 10)), (-1, 0, Fraction(1, 5)), (0, 1, Fraction(3, 10)),
+                    (0, -1, Fraction(3, 10)), (0, 0, Fraction(1, 10))])  # largest jump 2
+
+    def dtype(walk, start, max_steps):
+        return _path_dtype(SimConfig(walk=walk, start=start, paths=1, seed=0, max_steps=max_steps))
+
+    assert dtype(d, (1, 1), 2**31 - 2) == np.int32
+    assert dtype(d, (1, 1), 2**31 - 1) == np.int64
+    assert dtype(d, (1, 5), 2**31 - 6) == np.int32
+    assert dtype(d, (1, 5), 2**31 - 5) == np.int64
+    assert dtype(big, (1, 1), 2**30 - 1) == np.int32
+    assert dtype(big, (1, 1), 2**30) == np.int64
+    assert dtype(d, (1, 1), 10_000_000) == np.int32  # the default cap
+
+
+def test_int64_paths_match_int32_paths():
+    """A cap past the int32 range switches the arrays to int64 and changes
+    no value while no path reaches the cap."""
+    w = skewed_walk()  # largest jump 2
+    narrow = SimConfig(walk=w, start=(1, 1), paths=3000, seed=6, max_steps=2**30 - 1, checks=())
+    wide = SimConfig(walk=w, start=(1, 1), paths=3000, seed=6, max_steps=2**30, checks=())
+    got32, got64 = _simulate_exits(narrow), _simulate_exits(wide)
+    assert got32[0].dtype == got32[1].dtype == np.int32
+    assert got64[0].dtype == got64[1].dtype == np.int64
+    assert not got64[2].any()
+    for a, b in zip(got32, got64):
+        assert (a == b).all()
+
+
+def test_sample_exit_peak_bytes_per_path():
+    """The traced peak of a tau-mean and exit-position run on 2^18 paths.
+    Int64 path arrays with four float64 samples alive at once took 97 bytes
+    per path; int32 arrays with one float sample at a time take 37."""
+    walk = diagonal_walk()
+
+    def cfg(paths):
+        return SimConfig(walk=walk, start=(1, 1), paths=paths, seed=3, max_steps=1000,
+                         checks=("tau-mean", "exit-position"))
+
+    sample_exit(cfg(2000))  # the exact targets' own allocations come and go here
+    tracemalloc.start()
+    try:
+        rep = sample_exit(cfg(2**18))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.truncated > 0  # the completed-path copy is part of the peak
+    assert peak / 2**18 < 60
+
+
+def test_chunk_debug_lines(caplog):
+    cfg = SimConfig(walk=diagonal_walk(), start=(1, 1), paths=CHUNK + 100, seed=4,
+                    max_steps=64, checks=())
+    with caplog.at_level(logging.WARNING, logger="conewalk.sim"):
+        quiet = _simulate_exits(cfg)
+    assert not caplog.records
+    with caplog.at_level(logging.DEBUG, logger="conewalk.sim"):
+        loud = _simulate_exits(cfg)
+    for a, b in zip(quiet, loud):
+        assert (a == b).all()
+    lines = [r.getMessage() for r in caplog.records]
+    assert len(lines) == 2
+    assert lines[0].startswith(f"sim chunk 0: {CHUNK} paths, survivors 1:")
+    assert lines[1].startswith("sim chunk 1: 100 paths, survivors 1:")
+    tau, _, truncated = quiet
+    assert f"truncated {int(truncated[:CHUNK].sum())}," in lines[0]
+    assert " 32:" in lines[0] and " 64:" not in lines[0] and lines[0].endswith(" steps/s")
