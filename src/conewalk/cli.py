@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from .alt import eliminate_monomial
-from .cones import ConeSpec, cone_from_slope, make_cone
+from .cones import ConeSpec, cone_for_table, cone_from_slope, make_cone
 from .drift import one_step_residual
 from .errors import ConewalkError, ValidationError
 from .exits import exit_position_moments, tau_moment_poly
@@ -93,8 +93,10 @@ def _warn_if_m_differs(args, w: WalkSpec) -> None:
                     args.m, args.walk, w.cone.p_alpha_float(), args.m)
 
 
-def _resolve_cone(args) -> ConeSpec:
-    """The cone of --m or --b; without either, the cone of --walk."""
+def _resolve_cone(args, mu: MomentTable | None = None) -> ConeSpec:
+    """The cone of --m or --b; without either, the cone of --walk.  Given
+    the moment table mu and no --backend, a pi/m cone is the one
+    construct_harmonic runs mu over (cone_for_table)."""
     backend = backend_from_name(args.backend) if getattr(args, "backend", None) else None
     m, b = getattr(args, "m", None), getattr(args, "b", None)
     if m is None and b is None and getattr(args, "walk", None):
@@ -103,6 +105,8 @@ def _resolve_cone(args) -> ConeSpec:
             return cone
         m = cone.m
     if m is not None:
+        if backend is None and mu is not None:
+            return cone_for_table(m, mu.backend)
         return make_cone(m, backend)
     if b is not None:
         bk = backend or backend_from_name("rational")
@@ -149,8 +153,8 @@ def cmd_harmonic(args) -> int:
 
 
 def cmd_exit_moments(args) -> int:
-    cone = _resolve_cone(args)
     mu = _resolve_moments(args, max(2 * args.k, 2))
+    cone = _resolve_cone(args, mu)
     res = tau_moment_poly(args.k, cone, mu)
     obj = {"k": args.k, "G": poly_to_obj(res.G), "residual_max": res.residual.max_abs_float()}
     if args.at:

@@ -19,7 +19,7 @@ from .drift import drift_expansion
 from .errors import InsufficientMoments, InternalError, ValidationError
 from .exits import _solve_top_down
 from .poly import Poly, im_power
-from .scalars import MPF, bigfloat
+from .scalars import bigfloat, is_mpf
 from .walks import MomentTable
 
 
@@ -128,11 +128,12 @@ def converse_angle_test(n: int, b) -> AngleClassification:
         if n % 2 == 0:
             return AngleClassification(n=n, resonant=True, q=n // 2, kernel_positive=(n == 2))
         return AngleClassification(n=n, resonant=False, q=None, kernel_positive=None)
-    # an mpf slope is classified at the default float precision
-    bk = bigfloat()
-    b = bk.adopt(b)
-    u_val = im_power(n).evaluate(1, b)
-    resonant = u_val == 0 or (isinstance(u_val, MPF) and bk.is_zero(u_val, abs(b) ** n))
+    if is_mpf(b):  # an mpf slope is classified at the default float precision
+        bk = bigfloat()
+        b = bk.adopt(b)
+        resonant = bk.is_zero(im_power(n).evaluate(1, b), abs(b) ** n)
+    else:
+        resonant = im_power(n).evaluate(1, b) == 0
     if not resonant:
         return AngleClassification(n=n, resonant=False, q=None, kernel_positive=None)
     alpha = math.atan(float(b))

@@ -9,17 +9,25 @@ values of one mpmath context per precision, so each carries its field's
 precision: mpmath rounds an operation to the context of its mpf operand
 (the left one when both are mpf), and mpmath's global precision affects
 only how many digits :func:`format_scalar` prints.
+
+Importing this module loads neither numpy nor mpmath.  mpmath loads with
+the first float field (:func:`bigfloat`, ``--backend float:N``, a
+non-exact :func:`conewalk.cones.make_cone`) or when a float value is
+unpickled, so exact work never loads it.
 """
 
 from __future__ import annotations
 
+import copyreg
 import functools
 import math
 import re
+import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import mpmath
-from mpmath.ctx_mp_python import _mpf as MPF  # base of every context's mpf type
+if TYPE_CHECKING:
+    import mpmath
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
@@ -257,6 +265,13 @@ def _reduced(a: int, b: int, c: int, d: int) -> QuadElement:
     return _make(a, b, c, d)
 
 
+def is_mpf(v) -> bool:
+    """Whether v is an mpmath real of any context.  False while mpmath is
+    not loaded: no mpf can exist before its module is imported."""
+    mp_python = sys.modules.get("mpmath.ctx_mp_python")
+    return mp_python is not None and isinstance(v, mp_python._mpf)
+
+
 def scalar_to_float(v) -> float:
     return float(v)
 
@@ -273,7 +288,9 @@ def format_scalar(v) -> str:
         qa = abs(v.q)
         sgn = "-" if v.q < 0 else "+"
         return f"{v.p}{sgn}{qa}*sqrt({v.d})"
-    if isinstance(v, MPF):
+    if is_mpf(v):
+        import mpmath
+
         digits = max(17, int(mpmath.mp.prec * 0.30103) + 2)
         return mpmath.nstr(v, digits, strip_zeros=True)
     return str(Fraction(v))
@@ -427,7 +444,13 @@ class FloatBackend(Backend):
         self.mp = _context(precision_bits)
         self.tolerance = self.mp.mpf(2) ** (-precision_bits // 2)
 
+    def __reduce__(self):
+        # the mpmath context in mp does not pickle; the precision rebuilds it
+        return bigfloat, (self.precision,)
+
     def workprec(self):
+        import mpmath
+
         return mpmath.workprec(self.precision)
 
     def convert(self, v):
@@ -454,7 +477,7 @@ class FloatBackend(Backend):
         return self.convert(v)
 
     def adopt(self, v):
-        return self.convert(v) if isinstance(v, MPF) else v
+        return self.convert(v) if is_mpf(v) else v
 
     def lifts_from(self, other: Backend) -> bool:
         return other.name != self.name
@@ -472,10 +495,19 @@ class FloatBackend(Backend):
 @functools.cache
 def _context(bits: int) -> mpmath.MPContext:
     """The mpmath context of the float fields of this precision, made on
-    first use."""
+    first use; the first one loads mpmath.  Its mpf type is a class of its
+    own, so a pickled value names the precision and unpickles into this
+    context."""
+    import mpmath
+
     mp = mpmath.MPContext()
     mp.prec = bits
+    copyreg.pickle(mp.mpf, lambda v: (_unpickle_mpf, (bits, v._mpf_)))
     return mp
+
+
+def _unpickle_mpf(bits: int, mpf_tuple):
+    return _context(bits).make_mpf(mpf_tuple)
 
 
 RATIONAL = RationalBackend()

@@ -1,9 +1,13 @@
 """Command-line interface: output contracts and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import conewalk
 from conewalk.cli import EXIT_CHECK, EXIT_OK, EXIT_VALIDATION, main
 
 
@@ -107,6 +111,16 @@ def test_exit_moments_value(capsys):
     assert obj["value_at"] == "-1+1*sqrt(3)"  # sqrt(3) - 1
 
 
+def test_exit_moments_across_quadratic_fields(capsys):
+    """The diagonal walk's order-4 moments lie in Q(sqrt 3), tan(pi/8) in
+    Q(sqrt 2): the pi/8 cone is the float one the table runs over."""
+    argv = ("exit-moments", "--k", "3", "--m", "8", "--walk", "diagonal", "--at", "3,1")
+    rc, out, _ = run(capsys, *argv)
+    assert rc == EXIT_OK
+    rc, want, _ = run(capsys, *argv, "--backend", "float:256")
+    assert rc == EXIT_OK and out == want
+
+
 def test_exit_moments_without_cone_uses_the_walk_cone(capsys):
     rc, out, _ = run(capsys, "exit-moments", "--walk", "skewed", "--k", "1", "--at", "1,1")
     rc4, out4, _ = run(capsys, "exit-moments", "--walk", "skewed", "--k", "1", "--at", "1,1",
@@ -204,3 +218,37 @@ def test_walk_json_file(tmp_path, capsys):
 def test_pretty_format(capsys):
     rc, out, _ = run(capsys, "matrix", "--n", "2", "--b", "1", "--format", "pretty")
     assert rc == EXIT_OK and out.startswith("n: 2")
+
+
+#: the exact commands of the cold-CLI benchmark, then its float:256 one
+EXACT_COMMANDS = (
+    ["harmonic", "--m", "4", "--walk", "skewed"],
+    ["exit-moments", "--k", "1", "--m", "3", "--walk", "diagonal", "--at", "1,1"],
+    ["exit-moments", "--k", "3", "--m", "8", "--walk", "skewed"],
+    ["matrix", "--n", "8", "--m", "12"],
+    ["transform", "--walk", "skewed"],
+    ["verify", "--walk", "skewed", "--points", "200"],
+    ["simulate", "--walk", "diagonal", "--paths", "20000"],
+)
+FLOAT_COMMAND = ["harmonic", "--m", "8", "--walk", "skewed", "--backend", "float:256"]
+
+
+def test_exact_work_leaves_mpmath_unloaded():
+    code = (
+        "import contextlib, io, sys\n"
+        "import conewalk, conewalk.cli\n"
+        "assert 'mpmath' not in sys.modules, 'mpmath loaded by import conewalk'\n"
+        f"for argv in {list(EXACT_COMMANDS)!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert conewalk.cli.main(argv) == 0, argv\n"
+        "    assert 'mpmath' not in sys.modules, f'mpmath loaded by {argv}'\n"
+        "assert conewalk.converse_angle_test(3, conewalk.make_cone(3).b).resonant\n"
+        "assert 'mpmath' not in sys.modules, 'mpmath loaded by an exact slope test'\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert conewalk.cli.main({FLOAT_COMMAND!r}) == 0\n"
+        "assert 'mpmath' in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(conewalk.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,10 @@
 """Scalar fields: rationals, quadratic extensions, big floats."""
 
 import math
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,12 +16,16 @@ from conewalk import (
     ValidationError,
     backend_from_name,
     bigfloat,
+    construct_harmonic,
     format_scalar,
+    push_moments,
     quadratic,
     scalar_to_float,
+    simple_walk,
     sqrt_fraction,
 )
-from conewalk.scalars import squarefree_decompose
+import conewalk
+from conewalk.scalars import is_mpf, squarefree_decompose
 
 
 def test_squarefree_decompose():
@@ -69,6 +77,42 @@ def test_float_backend_precision():
         v = bk.convert(Fraction(1, 3))
         err = abs(v * 3 - 1)
         assert err < 2 ** -250
+
+
+def test_is_mpf_agrees_with_the_mpf_base_class():
+    import mpmath
+    from mpmath.ctx_mp_python import _mpf
+
+    values = [bigfloat(64).convert(1) / 3, bigfloat(256).convert(2), mpmath.mpf(1) / 7,
+              mpmath.mp.pi, mpmath.mpc(1, 2), 3, 0.5, Fraction(1, 3), QuadElement(1, 2, 3)]
+    assert [is_mpf(v) for v in values] == [isinstance(v, _mpf) for v in values]
+    assert [is_mpf(v) for v in values] == [True] * 4 + [False] * 5
+
+
+def test_float_values_pickle_into_their_field():
+    bk = bigfloat(256)
+    v = bk.convert(1) / 3
+    assert pickle.loads(pickle.dumps(v)) == v
+    res = construct_harmonic(5, push_moments(simple_walk(), 5))
+    assert res.cone.backend.name == "float:256"
+    data = pickle.dumps(res)
+    back = pickle.loads(data)
+    assert back.h == res.h and back.cone.backend.name == "float:256"
+    assert all(c.context is bk.mp for c in back.h.terms.values())
+    # in a fresh process, unpickling is what loads mpmath
+    code = (
+        "import pickle, sys\n"
+        "assert 'mpmath' not in sys.modules\n"
+        "res = pickle.loads(sys.stdin.buffer.read())\n"
+        "assert 'mpmath' in sys.modules\n"
+        "assert all(c.context.prec == 256 for c in res.h.terms.values())\n"
+        "print(sorted((k, c._mpf_) for k, c in res.h.terms.items()))\n"
+    )
+    src = os.path.dirname(os.path.dirname(conewalk.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], input=data, env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().strip() == repr(sorted((k, c._mpf_) for k, c in res.h.terms.items()))
 
 
 def test_backend_from_name():
