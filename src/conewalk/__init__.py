@@ -21,7 +21,7 @@ from .alt import (
     polar_mode,
     trig_series,
 )
-from .cones import ConeSpec, VERTICAL, cone_from_slope, detect_integer_m, make_cone
+from .cones import ConeSpec, VERTICAL, cone_from_slope, make_cone
 from .drift import DriftExpansion, drift_expansion, one_step_residual
 from .errors import (
     AngleNotRepresentable,

@@ -32,8 +32,8 @@ from .jsonio import (
     walk_to_obj,
 )
 from .linsys import build_matrix
-from .scalars import backend_from_name, format_scalar
-from .walks import MomentTable, WalkSpec, builtin_walks, push_moments
+from .scalars import RATIONAL, backend_from_name, format_scalar
+from .walks import MomentTable, WalkSpec, builtin_walks, check_no_overshoot, push_moments
 
 log = logging.getLogger("conewalk")
 
@@ -69,47 +69,50 @@ def _load_walk(name_or_path: str) -> WalkSpec:
     return walk_from_obj(_load_json(name_or_path))
 
 
-def _resolve_moments(args, order: int) -> MomentTable:
-    if getattr(args, "moments", None):
-        backend = backend_from_name(args.backend) if args.backend else None
-        obj = _load_json(args.moments)
-        if backend is None:
-            from .scalars import RATIONAL
+def _walk(args) -> WalkSpec | None:
+    """The walk of --walk, or None.  Logs a warning when --m names another
+    opening than its wedge, and when it can jump over the boundary, since
+    the exact results assume that it exits onto the boundary."""
+    if not args.walk:
+        return None
+    w = _load_walk(args.walk)
+    m = getattr(args, "m", None)
+    if m is not None and w.cone.m != m:
+        log.warning("--m %d: the wedge of walk %s has opening pi/%g, not pi/%d",
+                    m, args.walk, w.cone.p_alpha_float(), m)
+    if not check_no_overshoot(w):
+        log.warning("walk %s can jump over the boundary (a step component below -1); "
+                    "the exact results assume it exits onto the boundary", args.walk)
+    return w
 
-            backend = RATIONAL
-        return moments_from_obj(obj, backend)
-    if getattr(args, "walk", None):
-        w = _load_walk(args.walk)
-        _warn_if_m_differs(args, w)
+
+def _resolve_moments(args, w: WalkSpec | None, order: int) -> MomentTable:
+    if args.moments:
+        backend = backend_from_name(args.backend) if args.backend else RATIONAL
+        return moments_from_obj(_load_json(args.moments), backend)
+    if w is not None:
         mu = push_moments(w, order)
         return mu.to(backend_from_name(args.backend)) if args.backend else mu
     raise ValidationError("one of --moments or --walk is required")
 
 
-def _warn_if_m_differs(args, w: WalkSpec) -> None:
-    """Log when --m names another opening than the wedge of --walk."""
-    if args.m is not None and w.cone.m != args.m:
-        log.warning("--m %d: the wedge of walk %s has opening pi/%g, not pi/%d",
-                    args.m, args.walk, w.cone.p_alpha_float(), args.m)
-
-
-def _resolve_cone(args, mu: MomentTable | None = None) -> ConeSpec:
-    """The cone of --m or --b; without either, the cone of --walk.  Given
-    the moment table mu and no --backend, a pi/m cone is the one
-    construct_harmonic runs mu over (cone_for_table)."""
-    backend = backend_from_name(args.backend) if getattr(args, "backend", None) else None
-    m, b = getattr(args, "m", None), getattr(args, "b", None)
-    if m is None and b is None and getattr(args, "walk", None):
-        cone = _load_walk(args.walk).cone
-        if cone.m is None:
-            return cone
-        m = cone.m
+def _resolve_cone(args, w: WalkSpec | None = None, mu: MomentTable | None = None) -> ConeSpec:
+    """The cone of --m or --b; without either, the cone of the walk w, in
+    the --backend field when one is given.  Given the moment table mu and
+    no --backend, a pi/m cone is the one construct_harmonic runs mu over
+    (cone_for_table)."""
+    backend = backend_from_name(args.backend) if args.backend else None
+    m, b = args.m, args.b
+    if m is None and b is None and w is not None:
+        if backend is None or w.cone.m is None:
+            return w.cone
+        m = w.cone.m
     if m is not None:
         if backend is None and mu is not None:
             return cone_for_table(m, mu.backend)
         return make_cone(m, backend)
     if b is not None:
-        bk = backend or backend_from_name("rational")
+        bk = backend or RATIONAL
         return cone_from_slope(bk.parse(b), bk)
     raise ValidationError("one of --m or --b is required")
 
@@ -139,7 +142,7 @@ def _pretty(obj, indent=0) -> str:
 
 
 def cmd_harmonic(args) -> int:
-    mu = _resolve_moments(args, max(args.m, 2))
+    mu = _resolve_moments(args, _walk(args), max(args.m, 2))
     res = construct_harmonic(args.m, mu)
     obj = {
         "m": res.m,
@@ -153,24 +156,18 @@ def cmd_harmonic(args) -> int:
 
 
 def cmd_exit_moments(args) -> int:
-    mu = _resolve_moments(args, max(2 * args.k, 2))
-    cone = _resolve_cone(args, mu)
+    w = _walk(args)
+    mu = _resolve_moments(args, w, max(2 * args.k, 2))
+    cone = _resolve_cone(args, w, mu)
     res = tau_moment_poly(args.k, cone, mu)
     obj = {"k": args.k, "G": poly_to_obj(res.G), "residual_max": res.residual.max_abs_float()}
     if args.at:
-        x1s, x2s = args.at.split(",")
-        backend = cone.backend
-        x1, x2 = backend.parse(x1s), backend.parse(x2s)
+        x1, x2 = (cone.backend.parse(v) for v in args.at.split(","))
         value = res.G.evaluate(x1, x2)
         ep = exit_position_moments(cone, (x1, x2))
-        with backend.workprec():  # format_scalar prints the global precision's digits
+        with cone.backend.workprec():  # format_scalar prints the global precision's digits
             obj["value_at"] = format_scalar(value)
-            obj["exit_position"] = {
-                "mean1": format_scalar(ep.mean1),
-                "mean2": format_scalar(ep.mean2),
-                "second1": format_scalar(ep.second1),
-                "second2": format_scalar(ep.second2),
-            }
+            obj["exit_position"] = {k: format_scalar(v) for k, v in vars(ep).items()}
     _emit(args, obj)
     return EXIT_OK
 
@@ -201,23 +198,18 @@ def cmd_transform(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    w = _load_walk(args.walk)
+    w = _walk(args)
     m = args.m if args.m is not None else w.cone.m
     if m is None:
         raise ValidationError("walk opening is not pi/m; pass --m explicitly")
-    _warn_if_m_differs(args, w)
     mu = push_moments(w, max(m, 2))
     res = construct_harmonic(m, mu)
     backend = res.cone.backend
     rng = random.Random(args.seed)
-    worst = 0.0
-    failures = 0
-    for _ in range(args.points):
-        y = (rng.randint(1, 50), rng.randint(1, 50))
-        r = one_step_residual(res.h, w, y, backend)
-        worst = max(worst, abs(float(r)))
-        if not backend.is_zero(r):
-            failures += 1
+    residuals = [one_step_residual(res.h, w, (rng.randint(1, 50), rng.randint(1, 50)), backend)
+                 for _ in range(args.points)]
+    worst = max((abs(float(r)) for r in residuals), default=0.0)
+    failures = sum(not backend.is_zero(r) for r in residuals)
     obj = {
         "m": m,
         "points": args.points,
@@ -232,7 +224,7 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     from .sim import SimConfig, sample_exit
 
-    w = _load_walk(args.walk)
+    w = _walk(args)
     start = tuple(int(v) for v in args.start.split(","))
     checks = tuple(args.check.split(",")) if args.check else ("tau-mean",)
     cfg = SimConfig(
@@ -248,18 +240,7 @@ def cmd_simulate(args) -> int:
         "paths": rep.paths,
         "seed": rep.seed,
         "truncated": rep.truncated,
-        "checks": [
-            {
-                "name": c.name,
-                "estimate": c.estimate,
-                "std_error": c.std_error,
-                "target": c.target,
-                "z": c.z,
-                "passed": c.passed,
-                "note": c.note,
-            }
-            for c in rep.checks
-        ],
+        "checks": [vars(c) for c in rep.checks],
     }
     _emit(args, obj)
     return EXIT_OK if rep.all_passed() else EXIT_CHECK

@@ -40,15 +40,17 @@ class ConeSpec:
     b: object  # scalar slope, or VERTICAL for alpha = pi/2
     backend: Backend
     p_alpha: object  # pi/alpha as Fraction (integer mode) or mpf
-    half_plane: bool = False  # m = 1: the boundary degenerates to the x1-axis
+
+    @property
+    def half_plane(self) -> bool:
+        """m = 1: the boundary degenerates to the x1-axis."""
+        return self.m == 1
 
     @property
     def vertical(self) -> bool:
         return self.b is VERTICAL or (isinstance(self.b, str) and self.b == VERTICAL)
 
     def alpha_float(self) -> float:
-        if self.m is not None:
-            return math.pi / self.m
         return math.pi / float(self.p_alpha)
 
     def b_float(self) -> float:
@@ -71,23 +73,17 @@ def make_cone(m: int, backend: Backend | None = None) -> ConeSpec:
         return ConeSpec(m=2, b=VERTICAL, backend=backend or RATIONAL, p_alpha=Fraction(2))
     exact = _EXACT_TAN.get(m)
     if backend is None:
-        if exact is not None:
-            backend, b = exact
-        else:
-            backend = bigfloat()
-            b = backend.tan_pi_over(m)
-        return ConeSpec(m=m, b=b, backend=backend, p_alpha=Fraction(m), half_plane=(m == 1))
+        backend = exact[0] if exact else bigfloat()
     if isinstance(backend, FloatBackend):
-        return ConeSpec(
-            m=m, b=backend.tan_pi_over(m), backend=backend, p_alpha=Fraction(m), half_plane=(m == 1)
-        )
-    if exact is None:
+        b = backend.tan_pi_over(m)
+    elif exact is None:
         raise AngleNotRepresentable(f"tan(pi/{m}) is not in a supported exact field")
-    try:
-        b = backend.convert(exact[1])
-    except ValueError as e:
-        raise AngleNotRepresentable(f"tan(pi/{m}) not representable in {backend.name}") from e
-    return ConeSpec(m=m, b=b, backend=backend, p_alpha=Fraction(m), half_plane=(m == 1))
+    else:
+        try:
+            b = backend.convert(exact[1])
+        except ValueError as e:
+            raise AngleNotRepresentable(f"tan(pi/{m}) not representable in {backend.name}") from e
+    return ConeSpec(m=m, b=b, backend=backend, p_alpha=Fraction(m))
 
 
 def cone_for_table(m: int, backend: Backend) -> ConeSpec:
@@ -132,9 +128,3 @@ def cone_from_slope(b, backend: Backend | None = None) -> ConeSpec:
         m = None
     return ConeSpec(m=m, b=b, backend=backend, p_alpha=Fraction(m) if m else p_alpha)
 
-
-def detect_integer_m(alpha: float, tol: float = 1e-12, max_m: int = 64) -> int | None:
-    for m in range(1, max_m + 1):
-        if abs(alpha - math.pi / m) < tol:
-            return m
-    return None

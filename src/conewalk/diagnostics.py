@@ -334,6 +334,41 @@ def prop_exit_pullback(rng, float_bits):
     return "expected exit time pulls back to 2*y1*y2; second moments (5, 3) at (1,1)"
 
 
+#: sigma12 < 0 walks whose wedge is a float:256 one: the first is exactly
+#: pi/3 (rho = -1/2), but its transform needs two square-root fields; the
+#: second opens arccos(1/3) over a Q(sqrt 2) transform
+_FLOAT_WEDGE_WALKS = (
+    [(2, -1, "1/10"), (-1, 2, "1/10"), (-1, 0, "1/10"), (0, -1, "1/10"), (1, 1, "1/30"),
+     (-1, -1, "1/30"), (0, 0, "8/15")],
+    [(2, -1, "2/15"), (-1, 2, "2/15"), (-1, 0, "2/15"), (0, -1, "2/15"), (1, 1, "1/10"),
+     (-1, -1, "1/10"), (0, 0, "4/15")],
+)
+
+
+def prop_walk_first_moment(rng, float_bits):
+    walks = [WalkSpec(atoms) for atoms in _FLOAT_WEDGE_WALKS]
+    for _ in range(10):
+        # symmetric pairs +-v; p(1,-1) > p(1,1) makes sigma12 < 0
+        p10, p01, p11 = (rng.randint(0, 4) for _ in range(3))
+        if p10 + p01 + p11 == 0:
+            p10 = 1  # steps on the anti-diagonal alone have rho = -1
+        weights = {(1, 0): p10, (0, 1): p01, (1, 1): p11, (1, -1): p11 + rng.randint(1, 4)}
+        total = 2 * sum(weights.values())
+        atoms = [(s * a, s * b, Fraction(p, total))
+                 for (a, b), p in weights.items() if p for s in (1, -1)]
+        walks.append(WalkSpec(atoms))
+    for w in walks:
+        g1 = tau_moment_poly(1, w.cone, push_moments(w, 2)).G
+        bk = w.cone.backend
+        for _ in range(5):
+            y = (rng.randint(1, 20), rng.randint(1, 20))
+            want = Fraction(y[0] * y[1]) / -w.cov
+            got = g1.evaluate(*w.map_point(*y))
+            # == on exact fields, within the tolerance on float fields
+            assert bk.is_zero(got - want, bk.scale([want])), (w.atoms, y, got, want)
+    return "E_y tau = y1*y2/(-sigma12) at 5 points for 12 walks with sigma12 < 0"
+
+
 def prop_alt_laplacian(rng, float_bits):
     for n in range(0, 9):
         for j in range(n + 1):
@@ -417,6 +452,7 @@ _PROPERTIES = [
     ("exit-first-moment", prop_exit_first_moment),
     ("exit-threshold", prop_exit_threshold),
     ("exit-pullback", prop_exit_pullback),
+    ("walk-first-moment", prop_walk_first_moment),
     ("alt-laplacian", prop_alt_laplacian),
     ("alt-oracle", prop_alt_oracle),
     ("alt-mode-sampling", prop_alt_mode_sampling),

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from .errors import InsufficientMoments
 from .poly import Poly, laplacian
 from .scalars import Backend
-from .walks import MomentTable, WalkSpec
+from .walks import MomentTable, WalkSpec, _image
 
 
 @dataclass(frozen=True)
@@ -52,16 +52,11 @@ def one_step_residual(h: Poly, w: WalkSpec, y: tuple[int, int], backend: Backend
     """Exact finite sum  sum_atoms p * h(T(y+dy)) - h(T y)  at a quadrant
     lattice point y; zero iff h is one-step harmonic there.  This is the
     independent oracle for the symbolic expansion.  backend is h's field
-    when it is not the walk's (a float cone over an exact walk): the lattice
-    images are lifted into it."""
-    lift = (backend or w.backend).lift
-
-    def image(z1, z2):
-        x1, x2 = w.map_point(z1, z2)
-        return lift(x1), lift(x2)
-
+    when it is not the field of the walk's cone (an --m other than the
+    walk's own): the lattice images are lifted into it."""
+    backend = backend or w.cone.backend
     y1, y2 = y
-    acc = -h.evaluate(*image(y1, y2))
+    acc = -h.evaluate(*_image(w, y, backend))
     for a, b, p in w.atoms:
-        acc = acc + p * h.evaluate(*image(y1 + a, y2 + b))
+        acc = acc + p * h.evaluate(*_image(w, (y1 + a, y2 + b), backend))
     return acc

@@ -160,18 +160,14 @@ def exit_position_moments(cone: ConeSpec, x: tuple) -> ExitPositionMoments:
         raise AngleOutOfRange("exit-position means require opening < pi")
     if cone.vertical:
         raise AngleOutOfRange("exit-position second moments require opening < pi/2")
-    x1, x2 = x
     backend = cone.backend
-    x1, x2 = backend.lift(x1), backend.lift(x2)
+    x1, x2 = (backend.lift(v) for v in x)
     g1 = x2 * (cone.b * x1 - x2)
-    if not _inside_closed(cone, g1, x2):
+    # inside the closed wedge iff x2 >= 0 and x2 <= b*x1, i.e. both factors
+    # of g1 = x2*(b*x1 - x2) are >= 0 (to tolerance on float fields)
+    if not all(v >= 0 or backend.is_zero(v) for v in (x2, g1)):
         raise ValidationError("start must lie in the closed wedge")
     return ExitPositionMoments(
         mean1=x1, mean2=x2, second1=x1 * x1 + g1, second2=x2 * x2 + g1
     )
 
-
-def _inside_closed(cone: ConeSpec, g1, x2) -> bool:
-    # inside the closed wedge iff x2 >= 0 and x2 <= b*x1, i.e. both factors
-    # of g1 = x2*(b*x1 - x2) are >= 0 (to tolerance on float fields)
-    return all(v >= 0 or cone.backend.is_zero(v) for v in (x2, g1))

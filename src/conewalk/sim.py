@@ -233,21 +233,10 @@ def _log_chunk(log, ci: int, tau: np.ndarray, n_trunc: int, max_steps: int, seco
     )
 
 
-def _transform_floats(w: WalkSpec):
-    tr = w.transform
-    return (
-        scalar_to_float(tr.t11),
-        scalar_to_float(tr.t12),
-        scalar_to_float(tr.t22),
-    )
-
-
 def _pullback_value(poly: Poly, w: WalkSpec, y: tuple) -> float:
-    """Evaluate a wedge-coordinate polynomial at a quadrant lattice point,
-    exactly where the backend allows, then convert to float."""
-    tr = w.transform
-    x1, x2 = tr.apply(y[0], y[1])
-    return scalar_to_float(poly.evaluate(x1, x2))
+    """Evaluate a polynomial over the field of the walk's cone at a quadrant
+    lattice point, exactly where the field allows, then convert to float."""
+    return scalar_to_float(poly.evaluate(*w.map_point(*y)))
 
 
 def _mean_se(values: np.ndarray):
@@ -334,10 +323,9 @@ def sample_exit(cfg: SimConfig) -> SimReport:
     if "exit-position" in cfg.checks:
         from .exits import exit_position_moments
 
+        ep = exit_position_moments(cone, w.map_point(*cfg.start))
         tr = w.transform
-        x0 = tr.apply(cfg.start[0], cfg.start[1])
-        ep = exit_position_moments(cone, x0)
-        t11, t12, t22 = _transform_floats(w)
+        t11, t12, t22 = (scalar_to_float(t) for t in (tr.t11, tr.t12, tr.t22))
         y = exit_y[~truncated] if n_trunc else exit_y
 
         def moments(sample):  # then its square, in place: x**2 is np.square(x)

@@ -8,9 +8,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cones import ConeSpec, cone_from_slope, detect_integer_m, make_cone
+from .cones import ConeSpec, cone_for_table, cone_from_slope
 from .errors import DegenerateCorrelation, InsufficientMoments, ValidationError
-from .scalars import Backend, RATIONAL, bigfloat, quadratic, sqrt_fraction
+from .scalars import Backend, QuadElement, RATIONAL, bigfloat, quadratic, sqrt_fraction
 
 
 @dataclass(frozen=True)
@@ -109,14 +109,21 @@ class WalkSpec:
         self.transform = build_transform(self)
         self.cone = cone_for_walk(self)
 
-    # convenience accessors
     @property
     def backend(self) -> Backend:
         return self.transform.backend
 
     def map_point(self, y1, y2):
-        """Quadrant lattice point -> wedge coordinates through the transform."""
-        return self.transform.apply(y1, y2)
+        """Quadrant lattice point -> wedge coordinates through the transform,
+        in the field of the walk's cone."""
+        return _image(self, (y1, y2), self.cone.backend)
+
+
+def _image(w: WalkSpec, y: tuple, backend: Backend) -> tuple:
+    """T y for a quadrant point y, lifted into backend's field (a float
+    field takes exact values; exact fields mix as they are)."""
+    x1, x2 = w.transform.apply(*y)
+    return backend.lift(x1), backend.lift(x2)
 
 
 def build_transform(w: WalkSpec) -> TransformInfo:
@@ -134,40 +141,43 @@ def build_transform(w: WalkSpec) -> TransformInfo:
         backend: Backend = RATIONAL
         s1, s2 = r1, r2
     elif len(ds) == 1:
-        backend = quadratic(ds.pop())
-        s1 = backend.sqrt_of(s1sq)
-        s2 = backend.sqrt_of(w.ey2sq)
+        d = ds.pop()
+        backend = quadratic(d)
+        s1, s2 = (QuadElement(0, r, d) if di == d else backend.convert(r)
+                  for r, di in ((r1, d1), (r2, d2)))
     else:
         backend = bigfloat()
         s1 = backend.mp.sqrt(backend.convert(s1sq))
         s2 = backend.mp.sqrt(backend.convert(w.ey2sq))
     cov, ey2 = backend.lift(w.cov), backend.lift(w.ey2sq)
-    t11 = 1 / s1
-    t12 = -cov / (ey2 * s1)
-    t22 = 1 / s2
     rho = w.rho_sign * math.sqrt(float(w.rho_squared))
-    alpha_geo = math.acos(-rho)
     # the formula's principal branch, recorded verbatim for comparison
     alpha_formula = math.atan(math.sqrt(1 - rho * rho) / rho) if rho != 0 else math.pi / 2
     return TransformInfo(
-        t11=t11,
-        t12=t12,
-        t22=t22,
+        t11=1 / s1,
+        t12=-cov / (ey2 * s1),
+        t22=1 / s2,
         rho_squared=w.rho_squared,
         rho_sign=w.rho_sign,
-        alpha_geometric=alpha_geo,
+        alpha_geometric=math.acos(-rho),
         alpha_formula=alpha_formula,
         backend=backend,
     )
 
 
+#: rho^2 of the walks whose wedge is pi/m: cos^2(pi/m) is rational only for
+#: m in {1, 2, 3, 4, 6}, and m = 1 would need |rho| = 1
+_PI_OVER_M = {Fraction(0): 2, Fraction(1, 4): 3, Fraction(1, 2): 4, Fraction(3, 4): 6}
+
+
 def cone_for_walk(w: WalkSpec) -> ConeSpec:
-    """The wedge the quadrant maps onto: opening arccos(-rho)."""
-    tr = w.transform
-    m = detect_integer_m(tr.alpha_geometric)
+    """The wedge the quadrant maps onto, of opening arccos(-rho).  It is
+    pi/m exactly when rho <= 0 and rho^2 = cos^2(pi/m), and then it is the
+    cone construct_harmonic runs the walk's moments over; any other walk
+    gets the general-angle cone on float:256."""
+    m = _PI_OVER_M.get(w.rho_squared) if w.rho_sign <= 0 else None
     if m is not None:
-        cone = make_cone(m)
-        return cone
+        return cone_for_table(m, w.backend)
     # general angle: slope from tan(alpha) = sqrt(1-rho^2)/(-rho)
     backend = bigfloat()
     r2 = backend.convert(w.rho_squared)

@@ -1,4 +1,5 @@
-"""Shared helpers: valid moment tables with chosen or random higher moments."""
+"""Shared helpers: valid moment tables with chosen or random higher moments,
+and walks whose wedge is not the one their transform's field suggests."""
 
 import random
 from fractions import Fraction
@@ -27,6 +28,23 @@ def make_moment_table(order=4, backend=RATIONAL, higher=None, rng=None):
                 if k + l >= 3:
                     mu[(k, l)] = Fraction(rng.randint(-20, 20), rng.randint(1, 20))
     return MomentTable(order=order, mu=mu, backend=backend)
+
+
+#: rho = -1/2, sigma12 = -1/3: exactly pi/3, but the transform needs sqrt(2)
+#: and sqrt(3), so the wedge is the float:256 pi/3 one
+W_A = [(2, -1, Fraction(1, 10)), (-1, 2, Fraction(1, 10)), (-1, 0, Fraction(1, 10)),
+       (0, -1, Fraction(1, 10)), (1, 1, Fraction(1, 30)), (-1, -1, Fraction(1, 30)),
+       (0, 0, Fraction(8, 15))]
+
+#: rho = -1/3, sigma12 = -1/3: the general opening arccos(1/3), a float:256
+#: wedge over a Q(sqrt 2) transform
+W_B = [(2, -1, Fraction(2, 15)), (-1, 2, Fraction(2, 15)), (-1, 0, Fraction(2, 15)),
+       (0, -1, Fraction(2, 15)), (1, 1, Fraction(1, 10)), (-1, -1, Fraction(1, 10)),
+       (0, 0, Fraction(4, 15))]
+
+#: rho = -1/2 + 10^-13: a general opening just wider than pi/3
+_NEAR, _FAR = Fraction(5000000000001, 40000000000000), Fraction(14999999999999, 40000000000000)
+W_C = [(1, 1, _NEAR), (-1, -1, _NEAR), (1, -1, _FAR), (-1, 1, _FAR)]
 
 
 @pytest.fixture

@@ -1,14 +1,19 @@
 """Command-line interface: output contracts and exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import conewalk
 from conewalk.cli import EXIT_CHECK, EXIT_OK, EXIT_VALIDATION, main
+from conftest import W_A, W_B, W_C
 
 
 def run(capsys, *argv):
@@ -252,3 +257,97 @@ def test_exact_work_leaves_mpmath_unloaded():
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def walk_file(directory, atoms):
+    """A walk JSON file of (dy1, dy2, p) atoms."""
+    path = directory / "walk.json"
+    obj = {"atoms": [{"dy": [a, b], "p": str(p)} for a, b, p in atoms]}
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_simulate_walks_whose_wedge_field_is_not_the_transforms(tmp_path, capsys):
+    """E tau = y1*y2/(-sigma12) = 3 at (1,1): W_A in the float pi/3 wedge over
+    a float transform, W_B in a general float wedge over a Q(sqrt 2) one."""
+    for atoms, close in ((W_A, 1e-12), (W_B, 0)):
+        rc, out, _ = run(capsys, "simulate", "--walk", walk_file(tmp_path, atoms),
+                         "--paths", "2000")
+        assert rc in (EXIT_OK, EXIT_CHECK)
+        (check,) = json.loads(out)["checks"]
+        assert check["name"] == "tau-mean" and abs(check["target"] - 3) <= close
+
+
+def test_a_walk_just_off_pi_over_3_keeps_its_own_wedge(tmp_path, capsys):
+    """rho = -1/2 + 10^-13 is not pi/3: its slope is sqrt(1 - rho^2)/(-rho)."""
+    import mpmath
+
+    path = walk_file(tmp_path, W_C)
+    rc, out, _ = run(capsys, "transform", "--walk", path)
+    assert rc == EXIT_OK and json.loads(out)["m"] is None
+    with mpmath.workprec(256):  # floats print with as many digits as the ambient precision
+        rc, out, _ = run(capsys, "exit-moments", "--k", "1", "--walk", path)
+        assert rc == EXIT_OK
+        terms = {(t["i"], t["j"]): t["c"] for t in json.loads(out)["G"]["terms"]}
+        rho = mpmath.mpf(-4999999999999) / 10**13
+        slope = mpmath.sqrt(1 - rho * rho) / -rho
+        assert abs(mpmath.mpf(terms[(1, 1)]) - slope) <= mpmath.mpf(2) ** -128
+    rc, out, _ = run(capsys, "simulate", "--walk", path, "--paths", "2000")
+    assert rc in (EXIT_OK, EXIT_CHECK)
+    (check,) = json.loads(out)["checks"]
+    assert abs(check["target"] - 2.0000000000004) < 1e-12
+
+
+def test_overshooting_walk_warns_once(tmp_path, capsys, caplog):
+    """The (2,-2) step can jump past the boundary; stdout is unchanged."""
+    atoms = [(1, -1, Fraction(1, 4)), (-1, 1, Fraction(1, 4)), (2, -2, Fraction(1, 16)),
+             (-2, 2, Fraction(1, 16)), (1, 1, Fraction(3, 16)), (-1, -1, Fraction(3, 16))]
+    path = walk_file(tmp_path, atoms)
+    for argv in (("harmonic", "--m", "3"), ("exit-moments", "--k", "1"),
+                 ("verify", "--m", "3", "--points", "3"), ("simulate", "--paths", "500")):
+        caplog.clear()
+        rc, out, _ = run(capsys, *argv, "--walk", path)
+        assert rc in (EXIT_OK, EXIT_CHECK) and json.loads(out), argv
+        jumps = [r for r in caplog.records if "jump over the boundary" in r.getMessage()]
+        assert len(jumps) == 1 and jumps[0].levelname == "WARNING", argv
+    caplog.clear()
+    run(capsys, "exit-moments", "--k", "1", "--walk", "diagonal")
+    run(capsys, "simulate", "--walk", "diagonal", "--paths", "500")
+    assert not caplog.records
+
+
+#: the steps +-v of the random symmetric walks below
+PAIRS = ((1, 0), (0, 1), (1, 1), (1, -1))
+
+
+def symmetric_walk(weights, lazy):
+    """Atoms of the walk that steps +-v with weight w_v each, or stays put
+    with weight lazy."""
+    total = 2 * sum(weights) + lazy
+    atoms = [(s * a, s * b, Fraction(p, total))
+             for (a, b), p in zip(PAIRS, weights) if p for s in (1, -1)]
+    return atoms + ([(0, 0, Fraction(lazy, total))] if lazy else [])
+
+
+EXIT_CODE_COMMANDS = (
+    ("transform",),
+    ("exit-moments", "--k", "1"),
+    ("verify", "--points", "20"),
+    ("simulate", "--paths", "2000", "--max-steps", "1000"),
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(atoms=st.builds(symmetric_walk, st.lists(st.integers(0, 3), min_size=4, max_size=4)
+                       .filter(any), st.integers(0, 2)))
+@example(atoms=W_A)
+@example(atoms=W_B)
+@example(atoms=W_C)
+def test_every_walk_gets_an_exit_code(tmp_path_factory, atoms):
+    """A result (0), an invalid input (2) or a failed check (3); never a
+    traceback."""
+    path = walk_file(tmp_path_factory.mktemp("walk"), atoms)
+    for argv in EXIT_CODE_COMMANDS:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            rc = main([*argv, "--walk", path])
+        assert rc in (EXIT_OK, EXIT_VALIDATION, EXIT_CHECK), (argv, atoms)

@@ -7,6 +7,7 @@ import pytest
 
 from conewalk import (
     AngleNotRepresentable,
+    AngleOutOfRange,
     QuadElement,
     RATIONAL,
     ValidationError,
@@ -14,8 +15,9 @@ from conewalk import (
     build_matrix,
     cone_from_slope,
     construct_harmonic,
-    detect_integer_m,
     diagonal_walk,
+    exit_position_moments,
+    first_moment_poly,
     kernel_dimension,
     make_cone,
     push_moments,
@@ -39,6 +41,17 @@ def test_vertical_and_half_plane():
     assert c2.vertical and c2.p_alpha == Fraction(2)
     c1 = make_cone(1)
     assert c1.half_plane and c1.b == Fraction(0)
+
+
+def test_zero_slope_is_the_half_plane():
+    """The slope 0 opens pi, as make_cone(1) does: no finite exit time."""
+    for cone in (cone_from_slope(Fraction(0), RATIONAL), make_cone(1)):
+        assert cone.m == 1 and cone.half_plane
+        with pytest.raises(AngleOutOfRange):
+            first_moment_poly(cone)
+        with pytest.raises(AngleOutOfRange):
+            exit_position_moments(cone, (1, 1))
+    assert not make_cone(2).half_plane and not make_cone(3).half_plane
 
 
 def test_float_fallback():
@@ -66,11 +79,6 @@ def test_obtuse_slope():
     # negative slope means an opening beyond pi/2
     cone = cone_from_slope(Fraction(-1), RATIONAL)
     assert abs(cone.alpha_float() - 3 * math.pi / 4) < 1e-12
-
-
-def test_detect_integer_m():
-    assert detect_integer_m(math.pi / 7) == 7
-    assert detect_integer_m(1.0) is None
 
 
 def test_invalid_m():

@@ -7,16 +7,22 @@ import pytest
 from conewalk import (
     DegenerateCorrelation,
     MomentTable,
+    QuadElement,
     RATIONAL,
     ValidationError,
     WalkSpec,
+    bigfloat,
     check_no_overshoot,
     diagonal_walk,
     first_moment_poly,
     push_moments,
+    quadratic,
     simple_walk,
     skewed_walk,
+    tau_moment_poly,
 )
+from conewalk.cones import VERTICAL, cone_for_table
+from conftest import W_A, W_B, W_C
 
 
 def test_walk_validation():
@@ -121,3 +127,42 @@ def test_general_angle_slope_at_backend_precision():
         for y2 in range(1, 6):
             # T(0, y2) lies on the image of the boundary y1 = 0, where G_1 vanishes
             assert abs(g1.evaluate(*w.map_point(0, y2))) <= bk.tolerance, y2
+
+
+def test_builtin_walks_keep_their_cones():
+    for w, m, backend, b in ((simple_walk(), 2, RATIONAL, VERTICAL),
+                             (diagonal_walk(), 3, quadratic(3), QuadElement(0, 1, 3)),
+                             (skewed_walk(), 4, RATIONAL, Fraction(1))):
+        assert (w.cone.m, w.cone.backend, w.cone.b) == (m, backend, b)
+        assert w.cone == cone_for_table(m, w.backend)
+
+
+def test_walk_wedge_is_pi_over_m_only_for_an_exact_rho_squared():
+    field = bigfloat()
+    # exactly pi/3: the cone is the one a float table runs in
+    w = WalkSpec(W_A)
+    assert w.backend.name == "float:256"
+    assert w.cone.m == 3 and w.cone == cone_for_table(3, w.backend)
+    assert w.cone.b == field.tan_pi_over(3)
+    # 10^-13 off pi/3: the walk's own slope sqrt(1 - rho^2)/(-rho)
+    w = WalkSpec(W_C)
+    assert w.cone.m is None and w.cone.backend.name == "float:256"
+    rho = field.convert(w.cov)  # unit variances: rho is the covariance
+    assert abs(w.cone.b - field.mp.sqrt(1 - rho * rho) / -rho) <= field.mp.mpf(2) ** -128
+    assert abs(w.cone.b - field.tan_pi_over(3)) > 4e-13
+    # rho = +1/2 has rho^2 = 1/4 but opens 2*pi/3
+    w = WalkSpec([(1, 1, Fraction(3, 8)), (-1, -1, Fraction(3, 8)),
+                  (1, -1, Fraction(1, 8)), (-1, 1, Fraction(1, 8))])
+    assert w.cone.m is None and abs(w.cone.p_alpha_float() - 1.5) < 1e-12
+
+
+def test_map_point_lifts_into_the_cone_field():
+    """A Q(sqrt 2) transform and a general float:256 wedge: the image of a
+    lattice point is in the cone's field, where E tau = y1*y2/(-sigma12)."""
+    w = WalkSpec(W_B)
+    assert w.backend == quadratic(2) and w.cone.m is None
+    bk = w.cone.backend
+    x = w.map_point(2, 3)
+    assert all(v.context is bk.mp for v in x)
+    g1 = tau_moment_poly(1, w.cone, push_moments(w, 2)).G
+    assert abs(g1.evaluate(*x) - 18) <= bk.tolerance * 18
