@@ -37,22 +37,60 @@ def _degree_allowed(n: int, cone: ConeSpec) -> bool:
     return n < float(p) - RESONANCE_GUARD
 
 
+def _debug_log():
+    """This module's logger when logging is loaded and debug output is on,
+    else None.  The check loads nothing, so exact work never imports
+    logging."""
+    # sys, time and QuadElement are imported where the debug events use
+    # them, so the events add nothing to importing this module
+    import sys
+
+    logging = sys.modules.get("logging")
+    if logging is None:
+        return None
+    log = logging.getLogger(__name__)
+    return log if log.isEnabledFor(logging.DEBUG) else None
+
+
+def _coeff_bits(c) -> int:
+    """Bit length of the largest integer in an exact coefficient."""
+    from .scalars import QuadElement
+
+    parts = (c.p, c.q) if isinstance(c, QuadElement) else (Fraction(c),)
+    return max(max(abs(f.numerator).bit_length(), f.denominator.bit_length()) for f in parts)
+
+
+def _log_pass(log, l: int, part: Poly, solved, exact: bool, seconds: float):
+    """One debug line per degree pass: the degree, the nonzero rhs terms,
+    solved or skipped, the time, and on exact fields the largest
+    coefficient of the solved part in bits."""
+    what = "skipped" if solved is None else "solved"
+    bits = f", coefficients up to {max(map(_coeff_bits, solved))} bits" if solved and exact else ""
+    log.debug("degree %d pass: %d nonzero rhs terms, %s in %.3g s%s", l, len(part.terms), what, seconds, bits)
+
+
 def _solve_top_down(h: Poly, f: Poly, cone: ConeSpec, mu: MomentTable, n: int):
     """Add to h the homogeneous parts of degrees n..2 that make its one-step
     drift equal f, top-down: the degree-l pass solves one boundary system
     for the degree-(l-2) part of f - drift(h) still left, which disturbs
     only lower degrees.  A part that vanishes relative to the running scale
     is skipped.  Returns h, its drift and that scale."""
+    import time
+
+    log = _debug_log()
     backend = cone.backend
     f = f.map_coeffs(backend.lift)
     mu = mu.to(backend)
     scale = backend.scale(h, f)
     for l in range(n, 1, -1):
+        started = time.perf_counter()
         g = drift_expansion(h, mu).output if not h.is_zero() else Poly.zero()
         left = f - g
         scale = max(scale, backend.scale(left))
         part = left.homogeneous_part(l - 2)
         if backend.vanishes(part, scale):
+            if log:
+                _log_pass(log, l, part, None, backend.exact, time.perf_counter() - started)
             continue
         rhs = list(part.power_basis_coeffs(l - 2)) + [backend.zero()] * 2
         try:
@@ -61,6 +99,8 @@ def _solve_top_down(h: Poly, f: Poly, cone: ConeSpec, mu: MomentTable, n: int):
             raise InternalError(f"unexpected resonance at degree {l} < pi/alpha") from e
         h = h + Poly.from_power_basis(l, a)
         scale = max(scale, backend.scale(h))
+        if log:
+            _log_pass(log, l, part, a, backend.exact, time.perf_counter() - started)
     return h, drift_expansion(h, mu).output, scale
 
 

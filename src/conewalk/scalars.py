@@ -30,14 +30,32 @@ if TYPE_CHECKING:
     import mpmath
 
 
+#: largest trial divisor of squarefree_decompose: it settles every n whose
+#: part without prime factors below this limit is below the limit cubed
+SQUAREFREE_TRIAL_LIMIT = 1 << 20
+
+
 def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Write a positive integer n as s^2 * d with d square-free; returns (s, d)."""
+    """Write a positive integer n as s^2 * d with d square-free; returns (s, d).
+
+    Trial division runs only while p^3 <= m for the cofactor m left over.
+    Then every prime factor of m exceeds its cube root, so m is 1, a prime,
+    a product of two distinct primes (all square-free) or a prime squared,
+    which math.isqrt tells apart.  A cofactor still at least p^3 when p
+    reaches SQUAREFREE_TRIAL_LIMIT raises ValidationError."""
     if n <= 0:
         raise ValueError("positive integer required")
     s, d = 1, 1
     p = 2
     m = n
-    while p * p <= m:
+    while p * p * p <= m:
+        if p > SQUAREFREE_TRIAL_LIMIT:
+            from .errors import ValidationError
+
+            raise ValidationError(
+                f"cannot find the square-free part of {n}: a factor of {m.bit_length()} bits "
+                f"has no prime factor below {SQUAREFREE_TRIAL_LIMIT}"
+            )
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -47,8 +65,10 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
             if e % 2:
                 d *= p
         p += 1 if p == 2 else 2
-    d *= m
-    return s, d
+    r = math.isqrt(m)
+    if r * r == m:
+        return s * r, d
+    return s, d * m
 
 
 def sqrt_fraction(r: Fraction) -> tuple[Fraction, int]:
@@ -60,11 +80,10 @@ def sqrt_fraction(r: Fraction) -> tuple[Fraction, int]:
         return Fraction(0), 1
     sn, dn = squarefree_decompose(r.numerator)
     sd, dd = squarefree_decompose(r.denominator)
-    # sqrt(dn/dd) = sqrt(dn*dd)/dd
-    s = Fraction(sn, sd * dd)
-    _, d = squarefree_decompose(dn * dd)
-    s *= Fraction(int(math.isqrt(dn * dd // d)), 1)
-    return s, d
+    # sqrt(dn/dd) = sqrt(dn*dd)/dd, and dn*dd = g^2 * (dn/g)(dd/g) with
+    # g = gcd(dn, dd) and the last two factors square-free and coprime
+    g = math.gcd(dn, dd)
+    return Fraction(sn * g, sd * dd), dn * dd // (g * g)
 
 
 class QuadElement:

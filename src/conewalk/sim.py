@@ -9,8 +9,12 @@ transform once, outside the hot loop.
 
 Draw order: within a chunk, path i consumes the same stream draws as under
 one-at-a-time stepping, where each step takes one draw per surviving path
-in path order.  Block stepping in the tail phase (see _simulate_exits)
-keeps this rule, so it changes no report.
+in path order.  A chunk steps alone only while many of its paths survive;
+then the survivors of a group of chunks step as one array, in blocks of
+steps once few are left (see _simulate_exits).  Every chunk still draws
+from its own stream under this rule, so the schedule changes no report.
+A draw is the stream's raw 64-bit word, and its atom is the one that
+Generator.random's double of that word picks (see _atom_sampler).
 """
 
 from __future__ import annotations
@@ -38,8 +42,8 @@ KNOWN_CHECKS = ("tau-mean", "tau-second", "exit-position", "harmonicity", "tail"
 #: paths per RNG stream; fixed so chunking never depends on worker count
 CHUNK = 65536
 
-#: survivors in a chunk above which every step is taken on its own; below
-#: it, exits are rare enough that blocks of steps pay off
+#: survivors above which every step is taken on its own; below it, exits
+#: are rare enough that blocks of steps pay off
 BLOCK_SWITCH = 512
 
 #: most draws one block of steps may take, so the block arrays stay small
@@ -47,6 +51,10 @@ BLOCK_DRAWS = 16384
 
 #: buckets of the atom lookup table: a draw u falls in floor(u * ATOM_TABLE)
 ATOM_TABLE = 1 << 12
+
+#: fewest draws taken from a chunk's stream at once; the ones a block does
+#: not use wait in the chunk's buffer
+DRAW_BATCH = 4096
 
 #: acceptance band around -p_alpha/2 for the tail-slope fit
 TAIL_BAND = 0.15
@@ -115,23 +123,27 @@ def _path_dtype(cfg: SimConfig):
 
 
 def _atom_sampler(atoms):
-    """pick(u): the atom index of each draw u in [0, 1), the number of
-    cumulative-probability edges <= u, as np.searchsorted(cum, u,
-    side="right") gives it.  A table over the ATOM_TABLE buckets
-    floor(u * ATOM_TABLE) answers the draws whose bucket holds no edge;
-    searchsorted answers the few in the buckets that do."""
+    """pick(raw): the atom index of each raw 64-bit draw, the number of
+    cumulative-probability edges <= u for the double
+    u = (raw >> 11) * 2**-53 that Generator.random makes of the same draw,
+    as np.searchsorted(cum, u, side="right") gives it.  The top 12 bits of
+    raw are the bucket floor(u * ATOM_TABLE); a table over the buckets
+    answers the draws whose bucket holds no edge, searchsorted the few in
+    the buckets that do.  Reading the bucket off the bits spares a
+    float-to-integer conversion that cost about as much as the draw."""
     cum = np.cumsum(np.array([float(p) for _, _, p in atoms]))
     cum[-1] = 1.0
     lo = np.arange(ATOM_TABLE) / ATOM_TABLE  # bucket edges are exact dyadics
     table = np.searchsorted(cum, lo, side="right")
     split = table != np.searchsorted(cum, lo + 1 / ATOM_TABLE, side="left")
+    shift = np.uint64(64 - (ATOM_TABLE.bit_length() - 1))  # keeps log2(ATOM_TABLE) bits
 
-    def pick(u: np.ndarray) -> np.ndarray:
-        bucket = (u * ATOM_TABLE).astype(np.intp)
-        j = table[bucket]
-        fix = np.flatnonzero(split[bucket])
+    def pick(raw: np.ndarray) -> np.ndarray:
+        bucket = (raw >> shift).view(np.intp)
+        j = table.take(bucket)
+        fix = np.flatnonzero(split.take(bucket))
         if fix.size:
-            j[fix] = np.searchsorted(cum, u[fix], side="right")
+            j[fix] = np.searchsorted(cum, (raw[fix] >> np.uint64(11)) * 2.0**-53, side="right")
         return j
 
     return pick
@@ -144,14 +156,24 @@ def _simulate_exits(cfg: SimConfig):
     tau = max_steps and their last position instead of an exit point.  The
     integer arrays have the dtype _path_dtype picks for the config.
 
-    While more than BLOCK_SWITCH paths of a chunk survive, each step takes
+    Chunks are taken in groups of up to CHUNK // BLOCK_SWITCH.  Each chunk
+    of a group first steps alone, until at most CHUNK // (group size) of its
+    paths survive; the chunks that stopped early then step alone up to the
+    step of the latest one.  From there the survivors of the whole group,
+    at most CHUNK paths, step as one array ordered by (chunk, path), and a
+    step hands each chunk's survivors the next draws of the chunk's own
+    stream, in path order.
+
+    While more than BLOCK_SWITCH paths of an array survive, each step takes
     one draw per survivor.  Below that, a block of k steps takes k draws per
-    survivor, row by row, and is advanced with a cumulative sum; the rows
-    after the first one with an exit are discarded and their draws go back
-    to the chunk's buffer.  Philox draws concatenate, so either way path i
-    consumes exactly the draws that one-at-a-time stepping would give it.
-    After a block without an exit k doubles; after an exit at row r it
-    becomes 2*(r+1), capped by the steps left and by BLOCK_DRAWS."""
+    survivor of each chunk, row by row from the chunk's buffer, and is
+    advanced with a cumulative sum; the rows after the first one with an
+    exit in any chunk are discarded and their draws go back to the chunks'
+    buffers.  A buffer takes at least DRAW_BATCH draws from its stream at a
+    time.  Philox draws concatenate, so either way path i consumes exactly
+    the draws that one-at-a-time stepping would give it.  After a block
+    without an exit k doubles; after an exit at row r it becomes 2*(r+1),
+    capped by the steps left and by BLOCK_DRAWS."""
     # imported here: the simulator's import path does not load logging
     import logging
 
@@ -166,53 +188,145 @@ def _simulate_exits(cfg: SimConfig):
     exit_y = np.empty((cfg.paths, 2), dtype=dtype)
     truncated = np.zeros(cfg.paths, dtype=bool)
     n_chunks = (cfg.paths + CHUNK - 1) // CHUNK
-    for ci in range(n_chunks):
-        started = time.perf_counter() if debug else 0.0
-        lo, hi = ci * CHUNK, min((ci + 1) * CHUNK, cfg.paths)
-        rng = _chunk_rng(cfg.seed, ci)
-        idx = np.arange(lo, hi)
-        x = np.full(hi - lo, cfg.start[0], dtype=dtype)
-        y = np.full(hi - lo, cfg.start[1], dtype=dtype)
-        buf = np.empty(0)  # drawn from rng but not yet consumed
-        step = 0
+    group = min(n_chunks, CHUNK // BLOCK_SWITCH)
+    park = CHUNK // group
+
+    def advance(s: _Survivors, stop: int, until: int):
+        """Step s until at most stop of its paths survive or it is at step until."""
         k = 1
-        while idx.size and step < cfg.max_steps:
-            n = idx.size
-            k = 1 if n > BLOCK_SWITCH else min(k, cfg.max_steps - step, BLOCK_DRAWS // n)
-            need = k * n
-            if buf.size < need:
-                fresh = rng.random(need - buf.size)
-                buf = np.concatenate((buf, fresh)) if buf.size else fresh
-            j = pick(buf[:need]).reshape(k, n)
+        while s.idx.size > stop and s.step < until:
+            n = s.idx.size
+            k = 1 if n > BLOCK_SWITCH else min(k, until - s.step, BLOCK_DRAWS // n)
+            j = pick(s.draws(k)).reshape(k, n)
             bx, by = jx[j], jy[j]
+            del j  # 8 bytes a draw: free it before the exits allocate
             if k > 1:  # a one-row cumsum would only copy
                 bx, by = bx.cumsum(axis=0, dtype=dtype), by.cumsum(axis=0, dtype=dtype)
-            bx += x
-            by += y
+            bx += s.x
+            by += s.y
             out = (bx <= 0) | (by <= 0)
             hit = out.any(axis=1)
             r = int(hit.argmax()) if hit.any() else k - 1
-            step += r + 1
-            buf = buf[(r + 1) * n :]
-            x, y = bx[r], by[r]
+            s.consume(r + 1)
+            s.x, s.y = bx[r], by[r]
             if not hit[r]:
                 k *= 2
                 continue
-            gone, kept = np.flatnonzero(out[r]), np.flatnonzero(~out[r])
-            done = idx[gone]
-            tau[done] = step
-            exit_y[done, 0] = x[gone]
-            exit_y[done, 1] = y[gone]
-            idx, x, y = idx[kept], x[kept], y[kept]
+            done, ex, ey = s.remove(np.flatnonzero(out[r]), np.flatnonzero(~out[r]))
+            tau[done] = s.step
+            exit_y[done, 0] = ex
+            exit_y[done, 1] = ey
             k = 2 * (r + 1)
-        if idx.size:
-            tau[idx] = cfg.max_steps
-            exit_y[idx, 0] = x
-            exit_y[idx, 1] = y
-            truncated[idx] = True
+
+    def finish(parked: list):
+        """Step a group of parked chunks, (index, survivors, seconds) each,
+        to the end, and log each chunk."""
+        started = time.perf_counter()
+        sync = max(p.step for _, p, _ in parked)
+        for _, p, _ in parked:
+            advance(p, 0, sync)
+        s = _Survivors.join([p for _, p, _ in parked])
+        advance(s, 0, cfg.max_steps)
+        done, ex, ey = s.remove(np.arange(s.idx.size), np.empty(0, dtype=np.intp))
+        tau[done] = cfg.max_steps
+        exit_y[done, 0] = ex
+        exit_y[done, 1] = ey
+        truncated[done] = True
         if debug:
-            _log_chunk(log, ci, tau[lo:hi], idx.size, cfg.max_steps, time.perf_counter() - started)
+            _log_group(log, parked, sync, tau, truncated, cfg, time.perf_counter() - started)
+
+    parked = []
+    for ci in range(n_chunks):
+        started = time.perf_counter()
+        lo, hi = ci * CHUNK, min((ci + 1) * CHUNK, cfg.paths)
+        s = _Survivors(_chunk_rng(cfg.seed, ci), lo, hi - lo, cfg.start, dtype)
+        advance(s, park, cfg.max_steps)
+        parked.append((ci, s, time.perf_counter() - started))
+        if len(parked) == group or ci + 1 == n_chunks:
+            finish(parked)
+            parked = []
     return tau, exit_y, truncated
+
+
+class _Survivors:
+    """The paths of one or more chunks that have neither exited nor reached
+    the cap, all at one step, as one array ordered by (chunk, path).  Each
+    chunk keeps its own stream, its buffer of drawn but unused draws, its
+    first path index and its count of survivors; idx holds each path's
+    offset within its chunk."""
+
+    def __init__(self, rng, lo: int, size: int, start, dtype):
+        self.rng = [rng]
+        self.buf = [np.empty(0, dtype=np.uint64)]
+        self.lo = np.array([lo])
+        self.counts = np.array([size])
+        self.step = 0
+        self.idx = np.arange(size, dtype=np.min_scalar_type(CHUNK - 1))
+        self.x = np.full(size, start[0], dtype=dtype)
+        self.y = np.full(size, start[1], dtype=dtype)
+
+    @classmethod
+    def join(cls, parts: list) -> _Survivors:
+        """The survivors of parts, whose chunks are at one step, as one array."""
+        if len(parts) == 1:
+            return parts[0]
+        s = object.__new__(cls)
+        s.rng = [r for p in parts for r in p.rng]
+        s.buf = [b for p in parts for b in p.buf]
+        s.lo = np.concatenate([p.lo for p in parts])
+        s.counts = np.concatenate([p.counts for p in parts])
+        s.step = max(p.step for p in parts)  # a chunk left behind has no survivors
+        s.idx = np.concatenate([p.idx for p in parts])
+        s.x = np.concatenate([p.x for p in parts])
+        s.y = np.concatenate([p.y for p in parts])
+        return s
+
+    def draws(self, k: int) -> np.ndarray:
+        """k rows of draws, flattened; in row r, each chunk's n survivors
+        get the chunk's draws r*n .. r*n + n - 1 from its buffer."""
+        rows = []
+        for g, n in enumerate(self.counts.tolist()):
+            if not n:
+                continue
+            need = k * n
+            b = self.buf[g]
+            if b.size < need:
+                fresh = self.rng[g].bit_generator.random_raw(max(need - b.size, DRAW_BATCH))
+                b = self.buf[g] = np.concatenate((b, fresh)) if b.size else fresh
+            rows.append(b[:need].reshape(k, n))
+        return (rows[0] if len(rows) == 1 else np.concatenate(rows, axis=1)).ravel()
+
+    def consume(self, steps: int):
+        """Take the first steps rows of the last draws off the buffers."""
+        for g, n in enumerate(self.counts.tolist()):
+            self.buf[g] = self.buf[g][steps * n :]
+        self.step += steps
+
+    def remove(self, gone: np.ndarray, kept: np.ndarray):
+        """Take out the paths at positions gone, kept holding the others;
+        returns their path indices and positions."""
+        if self.counts.size > 1:
+            chunk = np.searchsorted(np.cumsum(self.counts), gone, side="right")
+            self.counts = self.counts - np.bincount(chunk, minlength=self.counts.size)
+        else:
+            chunk = 0
+            self.counts = self.counts - gone.size
+        out = self.lo[chunk] + self.idx[gone], self.x[gone], self.y[gone]
+        self.idx, self.x, self.y = self.idx[kept], self.x[kept], self.y[kept]
+        return out
+
+
+def _log_group(log, parked: list, sync: int, tau, truncated, cfg: SimConfig, joint_seconds: float):
+    """A debug line for each chunk of a finished group.  A chunk's time is
+    its own steps plus the group's joint steps, from step sync on, shared
+    out by path-steps."""
+    taus = [tau[ci * CHUNK : min((ci + 1) * CHUNK, cfg.paths)] for ci, _, _ in parked]
+    joint = [int(np.maximum(t.astype(np.int64) - sync, 0).sum()) for t in taus]
+    total = max(sum(joint), 1)
+    for (ci, _, seconds), t, share in zip(parked, taus, joint):
+        lo = ci * CHUNK
+        seconds += joint_seconds * share / total
+        _log_chunk(log, ci, t, int(truncated[lo : lo + t.size].sum()), cfg.max_steps, seconds)
 
 
 def _log_chunk(log, ci: int, tau: np.ndarray, n_trunc: int, max_steps: int, seconds: float):
@@ -326,7 +440,7 @@ def sample_exit(cfg: SimConfig) -> SimReport:
         ep = exit_position_moments(cone, w.map_point(*cfg.start))
         tr = w.transform
         t11, t12, t22 = (scalar_to_float(t) for t in (tr.t11, tr.t12, tr.t22))
-        y = exit_y[~truncated] if n_trunc else exit_y
+        y = exit_y.compress(~truncated, axis=0) if n_trunc else exit_y
 
         def moments(sample):  # then its square, in place: x**2 is np.square(x)
             return _mean_se(sample), _mean_se(np.square(sample, out=sample))
@@ -393,7 +507,7 @@ def _harmonicity_check(cfg: SimConfig) -> CheckResult:
     for ci in range(n_chunks):
         count = min((ci + 1) * CHUNK, cfg.paths) - ci * CHUNK
         rng = _chunk_rng(cfg.seed, ci, substream=1)
-        counts += np.bincount(pick(rng.random(count)), minlength=len(w.atoms))
+        counts += np.bincount(pick(rng.bit_generator.random_raw(count)), minlength=len(w.atoms))
     n = counts.sum()
     est = float(np.dot(counts, vals) / n)
     var = float(np.dot(counts, (vals - est) ** 2) / max(n - 1, 1))

@@ -1,5 +1,6 @@
 """Exit-time moment polynomials and exit-position moments."""
 
+import logging
 import random
 from fractions import Fraction
 
@@ -167,3 +168,28 @@ def test_fresh_tables_get_their_own_moment_polys():
         g2 = tau_moment_poly(2, cone, mu).G
         rhs = Poly.const(Fraction(-1)) - 2 * (g1 + drift_expansion(g1, mu).output)
         assert drift_expansion(g2, mu).output == rhs
+
+
+def test_degree_pass_debug_lines(caplog):
+    """With debug logging on, each degree pass of the top-down solver logs
+    one line; exact fields add the coefficient size, float fields do not.
+    The results do not change."""
+    from conewalk import bigfloat
+    from conewalk.walks import MomentTable
+
+    mu = push_moments(diagonal_walk(), 6)
+    bk = bigfloat(256)
+    mu4 = push_moments(skewed_walk(), 4).mu
+    mu_float = MomentTable(order=4, mu={k: bk.convert(v) for k, v in mu4.items()}, backend=bk)
+    cone5 = make_cone(5, bk)
+    quiet = construct_harmonic(6, mu).h, tau_moment_poly(2, cone5, mu_float).G
+    assert not caplog.records
+    with caplog.at_level(logging.DEBUG, logger="conewalk.exits"):
+        loud = construct_harmonic(6, mu).h, tau_moment_poly(2, cone5, mu_float).G
+    assert loud == quiet
+    lines = [r.getMessage() for r in caplog.records]
+    assert [line.split(" pass:")[0] for line in lines] == [f"degree {l}" for l in (5, 4, 3, 2, 4, 3, 2)]
+    exact, floats = lines[:4], lines[4:]
+    assert "4 pass: 3 nonzero rhs terms, solved in " in exact[1] and exact[1].endswith(" bits")
+    assert "5 pass: 0 nonzero rhs terms, skipped in " in exact[0] and exact[0].endswith(" s")
+    assert all(" solved in " in line and line.endswith(" s") for line in floats)

@@ -35,6 +35,29 @@ def test_squarefree_decompose():
     assert squarefree_decompose(50) == (5, 2)
 
 
+def test_squarefree_decompose_large_cofactors():
+    """Trial division stops at the cube root of the cofactor; isqrt settles
+    what is left: a prime squared, two primes, or one prime.  The primes p
+    and q lie above the cube root of every product below, so trial
+    division never reaches them."""
+    p, q = 1000003, 1000033
+    assert squarefree_decompose(p * p) == (p, 1)
+    assert squarefree_decompose(p * q) == (1, p * q)
+    assert squarefree_decompose(3 * p * p) == (p, 3)
+    assert squarefree_decompose(4 * 3 * q * q) == (2 * q, 3)
+    assert squarefree_decompose(12 * p * q) == (2, 3 * p * q)
+    big = 10000000000000061
+    assert squarefree_decompose(2 * big) == (1, 2 * big)
+    assert sqrt_fraction(Fraction(8, 9 * big)) == (Fraction(2, 3 * big), 2 * big)
+
+
+def test_squarefree_decompose_gives_up_with_a_typed_error():
+    """A 61-bit prime has no factor below the trial limit and is above its
+    cube, so it cannot be settled."""
+    with pytest.raises(ValidationError):
+        squarefree_decompose(2**61 - 1)
+
+
 def test_sqrt_fraction():
     r, d = sqrt_fraction(Fraction(9, 4))
     assert (r, d) == (Fraction(3, 2), 1)

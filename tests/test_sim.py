@@ -23,10 +23,11 @@ from conewalk import (
     simple_walk,
     skewed_walk,
 )
+from conewalk import sim
 from conewalk.sim import BLOCK_SWITCH, CHUNK, _chunk_rng, _path_dtype, _simulate_exits
 
 
-def _reference_exits(cfg):
+def _reference_exits(cfg, chunk=CHUNK):
     """One draw per surviving path per step, in path order: the draw-order
     rule that _simulate_exits must reproduce exactly."""
     jumps = np.array([[a, b] for a, b, _ in cfg.walk.atoms], dtype=np.int64)
@@ -35,8 +36,8 @@ def _reference_exits(cfg):
     tau = np.empty(cfg.paths, dtype=np.int64)
     exit_y = np.empty((cfg.paths, 2), dtype=np.int64)
     truncated = np.zeros(cfg.paths, dtype=bool)
-    for ci in range((cfg.paths + CHUNK - 1) // CHUNK):
-        lo, hi = ci * CHUNK, min((ci + 1) * CHUNK, cfg.paths)
+    for ci in range((cfg.paths + chunk - 1) // chunk):
+        lo, hi = ci * chunk, min((ci + 1) * chunk, cfg.paths)
         rng = _chunk_rng(cfg.seed, ci)
         idx = np.arange(lo, hi)
         pos = np.tile(np.array(cfg.start, dtype=np.int64), (hi - lo, 1))
@@ -135,12 +136,85 @@ def test_block_stepping_matches_one_step_reference(walk, start, paths, max_steps
         assert truncated.any() and (tau[truncated] == max_steps).all()
 
 
+def _matches_reference(cfg, chunk=CHUNK):
+    got = _simulate_exits(cfg)
+    want = _reference_exits(cfg, chunk)
+    for g, w in zip(got, want):
+        assert (g == w).all()
+    return want
+
+
+def _park_steps(cfg, tau, chunk=CHUNK):
+    """The step at which each chunk stops stepping alone: the first at which
+    at most chunk // (group size) of its paths survive, or the cap."""
+    n_chunks = (cfg.paths + chunk - 1) // chunk
+    park = chunk // min(n_chunks, chunk // BLOCK_SWITCH)
+    steps = []
+    for lo in range(0, cfg.paths, chunk):
+        t = np.sort(tau[lo : lo + chunk])
+        steps.append(0 if t.size <= park else int(t[t.size - park - 1]))
+    return steps
+
+
+def test_joint_tail_chunks_park_at_different_steps():
+    """The partial chunk parks first and steps alone up to the full ones."""
+    cfg = SimConfig(walk=simple_walk(), start=(2, 1), paths=2 * CHUNK + 30000, seed=12,
+                    max_steps=400, checks=())
+    tau, _, truncated = _matches_reference(cfg)
+    first, second, last = _park_steps(cfg, tau)
+    assert first == second > last > 0 and truncated.any()
+
+
+def test_joint_tail_chunk_capped_while_alone():
+    """Chunk 0 still has more than its park threshold of survivors at the
+    cap, so it never steps jointly; the small chunk catches up to the cap."""
+    cfg = SimConfig(walk=simple_walk(), start=(3, 3), paths=CHUNK + 2000, seed=12,
+                    max_steps=3, checks=())
+    tau, _, truncated = _matches_reference(cfg)
+    assert _park_steps(cfg, tau) == [3, 0]
+    assert truncated[:CHUNK].sum() > CHUNK // 2
+
+
+def test_joint_tail_partial_chunk_below_block_switch():
+    """A last chunk of 300 paths parks at once and takes blocks of steps
+    alone up to the full chunks' park step."""
+    cfg = SimConfig(walk=diagonal_walk(), start=(1, 1), paths=2 * CHUNK + 300, seed=12,
+                    max_steps=500, checks=())
+    tau, _, _ = _matches_reference(cfg)
+    first, second, last = _park_steps(cfg, tau)
+    assert last == 0 < first and 300 < BLOCK_SWITCH
+
+
+def test_joint_tail_more_chunks_than_one_group(monkeypatch):
+    """With 2048-path chunks a group holds 2048 // BLOCK_SWITCH = 4 chunks,
+    so 11 chunks step their tails in three groups."""
+    monkeypatch.setattr(sim, "CHUNK", 2048)
+    cfg = SimConfig(walk=diagonal_walk(), start=(2, 1), paths=10 * 2048 + 700, seed=13,
+                    max_steps=300, checks=())
+    tau, _, truncated = _matches_reference(cfg, chunk=2048)
+    assert 2048 // BLOCK_SWITCH == 4 and truncated.any()
+    assert len(set(_park_steps(cfg, tau, chunk=2048))) > 1
+
+
 def test_import_leaves_numpy_unloaded():
     code = (
         "import sys, conewalk, conewalk.cli\n"
         "assert 'numpy' not in sys.modules, 'numpy loaded by import conewalk'\n"
         "from conewalk import SimConfig\n"
         "assert SimConfig.__module__ == 'conewalk.sim' and 'numpy' in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(conewalk.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_leaves_logging_unloaded():
+    """The solver's check for debug output loads nothing."""
+    code = (
+        "import sys, conewalk\n"
+        "conewalk.construct_harmonic(6, conewalk.push_moments(conewalk.diagonal_walk(), 6))\n"
+        "assert 'logging' not in sys.modules, 'logging loaded by an exact build'\n"
     )
     src = os.path.dirname(os.path.dirname(conewalk.__file__))
     env = dict(os.environ, PYTHONPATH=src)

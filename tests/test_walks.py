@@ -1,5 +1,6 @@
 """Walk specifications, normalizing transforms, pushed moment tables."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,18 @@ from conewalk import (
 )
 from conewalk.cones import VERTICAL, cone_for_table
 from conftest import W_A, W_B, W_C
+
+
+def test_walk_with_a_large_prime_denominator_builds_fast():
+    """The transform takes sqrt(2/q); finding the square-free part of q took
+    time proportional to sqrt(q), 15 s for this q."""
+    q = 10000000000000061
+    atoms = [(1, 0, Fraction(1, q)), (-1, 0, Fraction(1, q)), (0, 1, Fraction(1, 4)),
+             (0, -1, Fraction(1, 4)), (0, 0, Fraction(1, 2) - Fraction(2, q))]
+    started = time.perf_counter()
+    w = WalkSpec(atoms)
+    assert time.perf_counter() - started < 1.0
+    assert w.cone.backend.name == "float:256"  # sqrt(2q) and sqrt(2) do not share a field
 
 
 def test_walk_validation():
