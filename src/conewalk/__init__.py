@@ -22,7 +22,7 @@ from .alt import (
     trig_series,
 )
 from .cones import ConeSpec, VERTICAL, cone_from_slope, make_cone
-from .drift import DriftExpansion, drift_expansion, one_step_residual
+from .drift import drift_expansion, one_step_residual
 from .errors import (
     AngleNotRepresentable,
     AngleOutOfRange,
@@ -78,7 +78,6 @@ from .scalars import (
     bigfloat,
     format_scalar,
     quadratic,
-    scalar_to_float,
     sqrt_fraction,
 )
 from .walks import (

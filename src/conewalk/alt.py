@@ -149,22 +149,13 @@ def harmonic_correction(fp: Poly, m: int, n: int, cone: ConeSpec | None = None) 
     return g
 
 
-_ELIM_CACHE: dict = {}
-
-
 def eliminate_monomial(j: int, k: int, m: int, cone: ConeSpec | None = None):
     """The triple (f, g, F = f + g): Laplacian of F is x1^j x2^k and F
     vanishes on both rays of the pi/m wedge."""
     cone = cone or make_cone(m)
-    key = (j, k, m, cone.backend.name)
-    hit = _ELIM_CACHE.get(key)
-    if hit is not None:
-        return hit
     f = particular_solution(j, k)
     g = harmonic_correction(f, m, j + k, cone)
-    out = (f, g, f + g)
-    _ELIM_CACHE[key] = out
-    return out
+    return f, g, f + g
 
 
 def build_harmonic_alt(m: int, mu: MomentTable) -> Poly:
@@ -184,7 +175,7 @@ def build_harmonic_alt(m: int, mu: MomentTable) -> Poly:
         return h
     scale = backend.scale(h)
     for s in range(m - 3, -1, -1):
-        res = drift_expansion(h, mu).output
+        res = drift_expansion(h, mu)
         scale = max(scale, backend.scale(res))
         part = res.homogeneous_part(s)
         if part.is_zero():
@@ -197,7 +188,7 @@ def build_harmonic_alt(m: int, mu: MomentTable) -> Poly:
             Q = Q + F.map_coeffs(lambda v: v * (-2 * c))
         h = h + Q
         scale = max(scale, backend.scale(h))
-    final = drift_expansion(h, mu).output
+    final = drift_expansion(h, mu)
     if not backend.vanishes(final, scale):
         raise InternalError(f"nonzero drift after elimination: {final!r}")
     return h

@@ -1,5 +1,7 @@
-"""Wedge descriptions: opening angle, boundary slope b = tan(alpha), and the
-scalar field the slope lives in."""
+"""Wedge descriptions: opening angle, boundary slope b = tan(alpha), the
+scalar field the slope lives in, and the one rule for which exit moments
+exist: a moment of degree n is finite exactly when n < pi/alpha
+(ConeSpec.admits)."""
 
 from __future__ import annotations
 
@@ -20,6 +22,9 @@ from .scalars import (
 
 #: sentinel slope for alpha = pi/2 (boundary ray is the x2-axis)
 VERTICAL = "vertical"
+
+#: guard band for the float comparison of a degree against pi/alpha
+RESONANCE_GUARD = 1e-9
 
 # exact tan(pi/m) values in the supported fields
 _EXACT_TAN = {
@@ -42,13 +47,19 @@ class ConeSpec:
     p_alpha: object  # pi/alpha as Fraction (integer mode) or mpf
 
     @property
-    def half_plane(self) -> bool:
-        """m = 1: the boundary degenerates to the x1-axis."""
-        return self.m == 1
-
-    @property
     def vertical(self) -> bool:
         return self.b is VERTICAL or (isinstance(self.b, str) and self.b == VERTICAL)
+
+    def admits(self, n: int) -> bool:
+        """Whether a moment of degree n exists in this wedge: n < pi/alpha.
+        The exit time's tail is P(tau > t) ~ t^(-pi/(2 alpha))
+        (Denisov-Wachtel 2015), so E[tau^k] needs 2k < pi/alpha and the
+        exit position's degree-n moments need n < pi/alpha.  Exact for a
+        Fraction p_alpha; a float p_alpha must clear n by RESONANCE_GUARD."""
+        p = self.p_alpha
+        if isinstance(p, Fraction):
+            return n < p
+        return n < float(p) - RESONANCE_GUARD
 
     def alpha_float(self) -> float:
         return math.pi / float(self.p_alpha)

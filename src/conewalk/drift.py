@@ -5,7 +5,6 @@ independent finite-sum checker over a walk's actual support."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InsufficientMoments
 from .poly import Poly, laplacian
@@ -13,19 +12,8 @@ from .scalars import Backend
 from .walks import MomentTable, WalkSpec, _image
 
 
-@dataclass(frozen=True)
-class DriftExpansion:
-    """E[f(x+X)] - f(x) split as (1/2)Laplacian(f) + remainder; the remainder
-    collects the order >= 3 moment terms and has degree <= deg(f) - 3."""
-
-    input: Poly
-    output: Poly
-    laplacian_part: Poly
-    remainder: Poly
-
-
-def drift_expansion(f: Poly, mu: MomentTable) -> DriftExpansion:
-    """Apply the operator using normalized moments: first-order terms vanish,
+def drift_expansion(f: Poly, mu: MomentTable) -> Poly:
+    """E[f(x+X)] - f(x), using normalized moments: first-order terms vanish,
     second-order terms reduce to half the Laplacian, and orders 3..deg(f)
     contribute (1/(k! l!)) * d^(k+l) f / dx1^k dx2^l * E[X1^k X2^l].
 
@@ -45,7 +33,7 @@ def drift_expansion(f: Poly, mu: MomentTable) -> DriftExpansion:
                 continue
             wkl = mu(k, l) / (math.factorial(k) * math.factorial(l))
             rem = rem + d.map_coeffs(lambda c: c * wkl)
-    return DriftExpansion(input=f, output=half + rem, laplacian_part=half, remainder=rem)
+    return half + rem
 
 
 def one_step_residual(h: Poly, w: WalkSpec, y: tuple[int, int], backend: Backend | None = None):

@@ -2,6 +2,9 @@
 (drift of F prescribed inside the wedge, F zero on the boundary) and the
 recursion producing the degree-2k polynomials equal to the k-th moments of
 the exit time, plus the closed-form exit-position moments.
+
+Which of them exist is one rule, ConeSpec.admits: degree n is allowed iff
+n < pi/alpha.  Every builder here asks it before doing any work.
 """
 
 from __future__ import annotations
@@ -24,18 +27,6 @@ from .errors import (
 from .linsys import build_matrix, solve_system
 from .poly import Poly
 from .walks import MomentTable
-
-#: guard band for the float comparison of a degree against pi/alpha
-RESONANCE_GUARD = 1e-9
-
-
-def _degree_allowed(n: int, cone: ConeSpec) -> bool:
-    """n < pi/alpha, with a small guard band when pi/alpha is a float."""
-    p = cone.p_alpha
-    if isinstance(p, Fraction):
-        return n < p
-    return n < float(p) - RESONANCE_GUARD
-
 
 def _debug_log():
     """This module's logger when logging is loaded and debug output is on,
@@ -84,7 +75,7 @@ def _solve_top_down(h: Poly, f: Poly, cone: ConeSpec, mu: MomentTable, n: int):
     scale = backend.scale(h, f)
     for l in range(n, 1, -1):
         started = time.perf_counter()
-        g = drift_expansion(h, mu).output if not h.is_zero() else Poly.zero()
+        g = drift_expansion(h, mu) if not h.is_zero() else Poly.zero()
         left = f - g
         scale = max(scale, backend.scale(left))
         part = left.homogeneous_part(l - 2)
@@ -101,7 +92,7 @@ def _solve_top_down(h: Poly, f: Poly, cone: ConeSpec, mu: MomentTable, n: int):
         scale = max(scale, backend.scale(h))
         if log:
             _log_pass(log, l, part, a, backend.exact, time.perf_counter() - started)
-    return h, drift_expansion(h, mu).output, scale
+    return h, drift_expansion(h, mu), scale
 
 
 def poisson_solve(f: Poly, cone: ConeSpec, mu: MomentTable, n: int) -> Poly:
@@ -115,7 +106,7 @@ def poisson_solve(f: Poly, cone: ConeSpec, mu: MomentTable, n: int) -> Poly:
         raise ValidationError("target degree must be >= 2")
     if f.degree() > n - 2:
         raise ValidationError(f"rhs degree {f.degree()} exceeds {n - 2}")
-    if not _degree_allowed(n, cone):
+    if not cone.admits(n):
         raise DegreeTooHigh(f"degree {n} >= pi/alpha = {float(cone.p_alpha):g}")
     if mu.order < n:
         raise InsufficientMoments(f"need moments of order >= {n}, have {mu.order}")
@@ -135,7 +126,7 @@ class MomentPolyResult:
 
 def first_moment_poly(cone: ConeSpec) -> Poly:
     """x2*(b*x1 - x2): the expected exit time as a function of the start."""
-    if cone.vertical or cone.half_plane:
+    if not cone.admits(2):
         raise AngleOutOfRange("expected exit time is finite only for opening < pi/2")
     return Poly({(1, 1): cone.b, (0, 2): -cone.backend.one()})
 
@@ -152,7 +143,7 @@ def tau_moment_poly(k: int, cone: ConeSpec, mu: MomentTable) -> MomentPolyResult
     """
     if k < 1:
         raise ValidationError("moment order must be >= 1")
-    if not _degree_allowed(2 * k, cone):
+    if not cone.admits(2 * k):
         raise MomentNotFinite(
             f"moment {k} infinite: k >= pi/(2*alpha) = {float(cone.p_alpha) / 2:g}"
         )
@@ -167,7 +158,7 @@ def tau_moment_poly(k: int, cone: ConeSpec, mu: MomentTable) -> MomentPolyResult
             rhs = rhs - math.comb(j, l) * part
         if j == 1:
             G = first_moment_poly(cone)
-            dG = drift_expansion(G, mu).output
+            dG = drift_expansion(G, mu)
         else:
             G, dG, _ = _solve_top_down(Poly.zero(), rhs, cone, mu, 2 * j)
         residual = dG - rhs
@@ -191,20 +182,19 @@ def exit_position_moments(cone: ConeSpec, x: tuple) -> ExitPositionMoments:
     """First and second moments of the walk's position at the exit time,
     started from a point of the closed wedge.
 
-    The coordinate means equal the start coordinates (opening < pi); each
-    second moment is the squared coordinate plus the expected exit time
-    (opening < pi/2).  Boundary starts use the exit-at-time-zero convention,
-    where everything reduces to the start itself.
+    The coordinate means equal the start coordinates; each second moment is
+    the squared coordinate plus the expected exit time, so all four need
+    opening < pi/2, as first_moment_poly does.  Boundary starts use the
+    exit-at-time-zero convention, where everything reduces to the start
+    itself.
     """
-    if cone.half_plane:
-        raise AngleOutOfRange("exit-position means require opening < pi")
-    if cone.vertical:
-        raise AngleOutOfRange("exit-position second moments require opening < pi/2")
+    G1 = first_moment_poly(cone)
     backend = cone.backend
     x1, x2 = (backend.lift(v) for v in x)
-    g1 = x2 * (cone.b * x1 - x2)
-    # inside the closed wedge iff x2 >= 0 and x2 <= b*x1, i.e. both factors
-    # of g1 = x2*(b*x1 - x2) are >= 0 (to tolerance on float fields)
+    g1 = G1.evaluate(x1, x2)
+    # b > 0 here, so the point is inside the closed wedge iff x2 >= 0 and
+    # x2 <= b*x1, i.e. x2 >= 0 and g1 = x2*(b*x1 - x2) >= 0 (to tolerance
+    # on float fields)
     if not all(v >= 0 or backend.is_zero(v) for v in (x2, g1)):
         raise ValidationError("start must lie in the closed wedge")
     return ExitPositionMoments(

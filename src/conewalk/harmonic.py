@@ -97,7 +97,7 @@ def check_low_degree_uniqueness(m: int, mu: MomentTable, f: Poly) -> bool:
     scale = backend.scale(f)
     if not vanishes_on_boundary(f, cone, scale):
         raise ValidationError("f does not vanish on both boundary rays")
-    res = drift_expansion(f, mu).output
+    res = drift_expansion(f, mu)
     if not backend.vanishes(res, scale):
         raise ValidationError("f is not one-step harmonic")
     return backend.vanishes(f, scale)

@@ -12,7 +12,6 @@ import math
 from fractions import Fraction
 
 from .errors import BoundaryPointError, ValidationError
-from .scalars import scalar_to_float
 
 
 def _is_stored_zero(c) -> bool:
@@ -184,7 +183,7 @@ class Poly:
     def max_abs_float(self) -> float:
         if not self.terms:
             return 0.0
-        return max(abs(scalar_to_float(c)) for c in self.terms.values())
+        return max(abs(float(c)) for c in self.terms.values())
 
     def __repr__(self):
         if not self.terms:
@@ -238,7 +237,7 @@ def _boundary_distance(m: int, x1: float, x2: float) -> float:
 def boundary_ratio(m: int, x1, x2) -> float:
     """u(x) / (|x|^(m-1) * dist(x, boundary)) for the opening-pi/m wedge;
     lies in [1, m] for interior points."""
-    xf1, xf2 = scalar_to_float(x1), scalar_to_float(x2)
+    xf1, xf2 = float(x1), float(x2)
     alpha = math.pi / m
     ang = math.atan2(xf2, xf1)
     if not (0 < ang < alpha):

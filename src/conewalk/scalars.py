@@ -291,10 +291,6 @@ def is_mpf(v) -> bool:
     return mp_python is not None and isinstance(v, mp_python._mpf)
 
 
-def scalar_to_float(v) -> float:
-    return float(v)
-
-
 _QUAD_RE = re.compile(
     r"^\s*(?P<p>[+-]?\d+(?:/\d+)?)\s*(?P<sq>[+-])\s*(?P<q>\d+(?:/\d+)?)\s*\*\s*sqrt\((?P<d>\d+)\)\s*$"
 )
@@ -383,9 +379,6 @@ class Backend:
 
     def parse(self, s: str):
         raise NotImplementedError
-
-    def format(self, v) -> str:
-        return format_scalar(v)
 
     def __repr__(self):
         return f"<backend {self.name}>"

@@ -34,7 +34,6 @@ from .errors import (
 from .exits import tau_moment_poly
 from .harmonic import construct_harmonic
 from .poly import Poly
-from .scalars import scalar_to_float
 from .walks import WalkSpec, push_moments
 
 KNOWN_CHECKS = ("tau-mean", "tau-second", "exit-position", "harmonicity", "tail")
@@ -350,7 +349,7 @@ def _log_chunk(log, ci: int, tau: np.ndarray, n_trunc: int, max_steps: int, seco
 def _pullback_value(poly: Poly, w: WalkSpec, y: tuple) -> float:
     """Evaluate a polynomial over the field of the walk's cone at a quadrant
     lattice point, exactly where the field allows, then convert to float."""
-    return scalar_to_float(poly.evaluate(*w.map_point(*y)))
+    return float(poly.evaluate(*w.map_point(*y)))
 
 
 def _mean_se(values: np.ndarray):
@@ -377,14 +376,13 @@ def sample_exit(cfg: SimConfig) -> SimReport:
     """
     w = cfg.walk
     cone = w.cone
-    p_alpha = cone.p_alpha_float()
     need_sim = any(c in cfg.checks for c in ("tau-mean", "tau-second", "exit-position", "tail"))
-    # validate moment finiteness before paying for the simulation
-    if "tau-mean" in cfg.checks and not p_alpha > 2:
-        raise MomentCheckInvalid(f"E[tau] infinite at p_alpha = {p_alpha:g}")
-    if "tau-second" in cfg.checks and not p_alpha > 4:
-        raise MomentCheckInvalid(f"E[tau^2] infinite at p_alpha = {p_alpha:g}")
-    if "exit-position" in cfg.checks and not p_alpha > 2:
+    # the builders' own finiteness rule, asked before paying for the simulation
+    if "tau-mean" in cfg.checks and not cone.admits(2):
+        raise MomentCheckInvalid(f"E[tau] infinite at p_alpha = {cone.p_alpha_float():g}")
+    if "tau-second" in cfg.checks and not cone.admits(4):
+        raise MomentCheckInvalid(f"E[tau^2] infinite at p_alpha = {cone.p_alpha_float():g}")
+    if "exit-position" in cfg.checks and not cone.admits(2):
         raise MomentCheckInvalid("exit-position second moments require opening < pi/2")
     tau = exit_y = truncated = None
     if need_sim:
@@ -439,7 +437,7 @@ def sample_exit(cfg: SimConfig) -> SimReport:
 
         ep = exit_position_moments(cone, w.map_point(*cfg.start))
         tr = w.transform
-        t11, t12, t22 = (scalar_to_float(t) for t in (tr.t11, tr.t12, tr.t22))
+        t11, t12, t22 = (float(t) for t in (tr.t11, tr.t12, tr.t22))
         y = exit_y.compress(~truncated, axis=0) if n_trunc else exit_y
 
         def moments(sample):  # then its square, in place: x**2 is np.square(x)
@@ -452,10 +450,10 @@ def sample_exit(cfg: SimConfig) -> SimReport:
         del x1
         mean2, second2 = moments(t22 * y[:, 1])
         for name, (est, se), target in (
-            ("exit-mean-x1", mean1, scalar_to_float(ep.mean1)),
-            ("exit-mean-x2", mean2, scalar_to_float(ep.mean2)),
-            ("exit-second-x1", second1, scalar_to_float(ep.second1)),
-            ("exit-second-x2", second2, scalar_to_float(ep.second2)),
+            ("exit-mean-x1", mean1, float(ep.mean1)),
+            ("exit-mean-x2", mean2, float(ep.mean2)),
+            ("exit-second-x1", second1, float(ep.second1)),
+            ("exit-second-x2", second2, float(ep.second2)),
         ):
             z, ok = _zpass(est, se, target)
             results.append(

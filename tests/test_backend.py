@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import mpmath
 
-import conewalk.alt as alt
 from conewalk import (
     MomentTable,
     QuadElement,
@@ -54,7 +53,6 @@ def test_exact_builds_make_no_float_conversions(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(Fraction, "__float__", no_float)
         mp.setattr(QuadElement, "__float__", no_float)
-        mp.setattr(alt, "_ELIM_CACHE", {})  # rebuild the boundary corrections too
         got = run()
     assert got == want
     assert repr(got) == repr(want)

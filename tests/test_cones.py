@@ -23,6 +23,7 @@ from conewalk import (
     push_moments,
     quadratic,
 )
+from conewalk.cones import RESONANCE_GUARD
 
 
 def test_exact_slopes():
@@ -40,18 +41,30 @@ def test_vertical_and_half_plane():
     c2 = make_cone(2)
     assert c2.vertical and c2.p_alpha == Fraction(2)
     c1 = make_cone(1)
-    assert c1.half_plane and c1.b == Fraction(0)
+    assert c1.m == 1 and c1.b == Fraction(0)
 
 
 def test_zero_slope_is_the_half_plane():
     """The slope 0 opens pi, as make_cone(1) does: no finite exit time."""
     for cone in (cone_from_slope(Fraction(0), RATIONAL), make_cone(1)):
-        assert cone.m == 1 and cone.half_plane
+        assert cone.m == 1
         with pytest.raises(AngleOutOfRange):
             first_moment_poly(cone)
         with pytest.raises(AngleOutOfRange):
             exit_position_moments(cone, (1, 1))
-    assert not make_cone(2).half_plane and not make_cone(3).half_plane
+    assert not make_cone(2).admits(2) and make_cone(3).admits(2)
+
+
+def test_admits_is_degree_below_pi_over_alpha():
+    """Exact at an exact pi/alpha; a float pi/alpha must clear the degree by
+    RESONANCE_GUARD, so a wedge 1e-12 wider than pi/2 has no E[tau]."""
+    for m in (1, 2, 3, 4, 5, 8):
+        cone = make_cone(m)
+        assert [n for n in range(10) if cone.admits(n)] == list(range(m))
+    assert not cone_from_slope(Fraction(-1), RATIONAL).admits(2)  # opening 3pi/4
+    near_right = cone_from_slope(10**12)
+    assert near_right.m is None and 0 < float(near_right.p_alpha) - 2 < RESONANCE_GUARD
+    assert near_right.admits(1) and not near_right.admits(2)
 
 
 def test_float_fallback():

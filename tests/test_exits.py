@@ -45,14 +45,19 @@ def test_first_moment_drift_is_minus_one():
     g1 = first_moment_poly(cone)
     for _ in range(20):
         mu = make_moment_table(order=4, rng=rng)
-        assert drift_expansion(g1, mu).output == Poly.const(Fraction(-1))
+        assert drift_expansion(g1, mu) == Poly.const(Fraction(-1))
 
 
 def test_first_moment_rejects_wide_opening():
-    with pytest.raises(AngleOutOfRange):
-        first_moment_poly(make_cone(2))
-    with pytest.raises(AngleOutOfRange):
-        first_moment_poly(make_cone(1))
+    """Openings pi/2, pi and 3pi/4 (slope -1): E[tau] is infinite, so neither
+    G_1 nor the exit-position moments exist, whichever side of the sloped
+    ray the start lies on."""
+    for cone in (make_cone(2), make_cone(1), cone_from_slope(-1, RATIONAL)):
+        with pytest.raises(AngleOutOfRange):
+            first_moment_poly(cone)
+        for start in ((-3, 1), (1, 1)):
+            with pytest.raises(AngleOutOfRange):
+                exit_position_moments(cone, start)
 
 
 def test_tau_moment_diagonal_frozen():
@@ -83,7 +88,7 @@ def test_poisson_solver_properties():
     mu = push_moments(skewed_walk(), 3)
     f = Poly({(1, 0): Fraction(2), (0, 0): Fraction(-1)})
     F = poisson_solve(f, cone, mu, 3)
-    assert drift_expansion(F, mu).output == f
+    assert drift_expansion(F, mu) == f
     assert all(j >= 1 for _, j in F.terms)
     for deg, part in F.homogeneous_parts().items():
         assert part.evaluate(Fraction(1), cone.b) == 0
@@ -98,7 +103,7 @@ def test_poisson_solve_rebuilds_the_harmonic_correction():
     cases += [(m, push_moments(skewed_walk(), m)) for m in (4, 8)]
     for m, mu in cases:
         res = construct_harmonic(m, mu)
-        f = -drift_expansion(im_power(m), mu).output
+        f = -drift_expansion(im_power(m), mu)
         assert poisson_solve(f, res.cone, mu, m - 1) == res.correction
 
 
@@ -166,8 +171,8 @@ def test_fresh_tables_get_their_own_moment_polys():
     for _ in range(50):
         mu = make_moment_table(order=4, rng=rng)
         g2 = tau_moment_poly(2, cone, mu).G
-        rhs = Poly.const(Fraction(-1)) - 2 * (g1 + drift_expansion(g1, mu).output)
-        assert drift_expansion(g2, mu).output == rhs
+        rhs = Poly.const(Fraction(-1)) - 2 * (g1 + drift_expansion(g1, mu))
+        assert drift_expansion(g2, mu) == rhs
 
 
 def test_degree_pass_debug_lines(caplog):

@@ -19,7 +19,6 @@ from conewalk import (
     push_moments,
     tau_moment_poly,
 )
-from conewalk import alt
 
 from conftest import make_moment_table
 
@@ -37,7 +36,6 @@ def bits(v):
 
 
 def results():
-    alt._ELIM_CACHE.clear()  # rebuild every elimination at this global precision
     bk = bigfloat(256)
     mu = make_moment_table(7, rng=random.Random(7))
     mu_f = MomentTable(order=mu.order, mu={k: bk.convert(v) for k, v in mu.mu.items()}, backend=bk)

@@ -88,13 +88,26 @@ def test_chunking_invariance():
     assert (t2[:65536] == t1).all()
 
 
-def test_infinite_moment_guards():
-    w = diagonal_walk()  # p_alpha = 3
-    with pytest.raises(MomentCheckInvalid):
-        sample_exit(SimConfig(walk=w, start=(1, 1), paths=10, seed=0, checks=("tau-second",)))
-    w2 = simple_walk()  # p_alpha = 2: even the mean is infinite
-    with pytest.raises(MomentCheckInvalid):
-        sample_exit(SimConfig(walk=w2, start=(1, 1), paths=10, seed=0, checks=("tau-mean",)))
+def test_infinite_moment_guards(monkeypatch):
+    """Each guard refuses before any path is stepped, also where pi/alpha
+    is 2 + 1.3e-10: E[tau] ~ 1e10 there, which the builder refuses."""
+
+    def no_simulation(cfg):
+        raise AssertionError("simulated before the finiteness guard")
+
+    monkeypatch.setattr(sim, "_simulate_exits", no_simulation)
+    eps = Fraction(1, 10**10)
+    near, far = Fraction(1, 4) - eps / 4, Fraction(1, 4) + eps / 4
+    w_eps = WalkSpec([(1, 1, near), (-1, -1, near), (1, -1, far), (-1, 1, far)])
+    assert 0 < float(w_eps.cone.p_alpha) - 2 < 1e-9
+    for w, check in (
+        (diagonal_walk(), "tau-second"),  # p_alpha = 3
+        (simple_walk(), "tau-mean"),  # p_alpha = 2: even the mean is infinite
+        (w_eps, "tau-mean"),
+        (w_eps, "exit-position"),
+    ):
+        with pytest.raises(MomentCheckInvalid):
+            sample_exit(SimConfig(walk=w, start=(1, 1), paths=10, seed=0, checks=(check,)))
 
 
 def test_harmonicity_check_passes():
