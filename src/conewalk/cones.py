@@ -61,6 +61,20 @@ class ConeSpec:
             return n < p
         return n < float(p) - RESONANCE_GUARD
 
+    def refusal(self, n: int) -> str:
+        """Why admits(n) is False, for an error message: pi/alpha exactly
+        for a Fraction, and a float as its shortest round-trip decimal, or
+        as n plus its offset when it exceeds n by less than
+        RESONANCE_GUARD, so that a near-resonant wedge does not read as
+        resonant."""
+        p = self.p_alpha
+        if isinstance(p, Fraction):
+            return f"pi/alpha = {p} <= {n}"
+        d = float(p - n)
+        if d > 0:
+            return f"pi/alpha = {n} + {d:.2g} is within the guard band RESONANCE_GUARD = {RESONANCE_GUARD:g} of {n}"
+        return f"pi/alpha = {float(p)!r} <= {n}"
+
     def alpha_float(self) -> float:
         return math.pi / float(self.p_alpha)
 

@@ -107,7 +107,7 @@ def poisson_solve(f: Poly, cone: ConeSpec, mu: MomentTable, n: int) -> Poly:
     if f.degree() > n - 2:
         raise ValidationError(f"rhs degree {f.degree()} exceeds {n - 2}")
     if not cone.admits(n):
-        raise DegreeTooHigh(f"degree {n} >= pi/alpha = {float(cone.p_alpha):g}")
+        raise DegreeTooHigh(f"degree {n} too high: {cone.refusal(n)}")
     if mu.order < n:
         raise InsufficientMoments(f"need moments of order >= {n}, have {mu.order}")
     return _solve_top_down(Poly.zero(), f, cone, mu, n)[0]
@@ -144,9 +144,7 @@ def tau_moment_poly(k: int, cone: ConeSpec, mu: MomentTable) -> MomentPolyResult
     if k < 1:
         raise ValidationError("moment order must be >= 1")
     if not cone.admits(2 * k):
-        raise MomentNotFinite(
-            f"moment {k} infinite: k >= pi/(2*alpha) = {float(cone.p_alpha) / 2:g}"
-        )
+        raise MomentNotFinite(f"moment {k} infinite (needs 2k < pi/alpha): {cone.refusal(2 * k)}")
     if mu.order < 2 * k:
         raise InsufficientMoments(f"need moments of order >= {2 * k}, have {mu.order}")
     backend = cone.backend

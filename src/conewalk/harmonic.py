@@ -30,9 +30,15 @@ class HarmonicResult:
     m: int
     cone: ConeSpec
     h: Poly
-    correction: Poly  # h minus the classical top part; degree <= m-1
     residual: Poly  # one-step drift of h; zero (exactly or to tolerance)
     boundary_ok: bool
+
+    @property
+    def correction(self) -> Poly:
+        """h minus the classical top part Im(x1 + i x2)^m; degree <= m-1.
+        Computed on each access rather than stored, as it shares most of
+        its terms with h."""
+        return self.h - im_power(self.m).map_coeffs(self.cone.backend.lift)
 
 
 def vanishes_on_boundary(h: Poly, cone: ConeSpec, scale: float = 1.0) -> bool:
@@ -77,7 +83,6 @@ def construct_harmonic(m: int, mu: MomentTable) -> HarmonicResult:
         m=m,
         cone=cone,
         h=h,
-        correction=h - u,
         residual=residual,
         boundary_ok=boundary_ok,
     )

@@ -4,6 +4,19 @@ classical wedge-vanishing harmonic polynomials Im(x1 + i x2)^m.
 Terms are kept in a map from exponent pairs (i, j) -> coefficient of
 x1^i x2^j; zero coefficients are never stored.  The degree of the zero
 polynomial is -1.
+
+The public constructor and :meth:`Poly.map_coeffs` drop every coefficient
+that compares equal to 0.  Operations whose results provably hold no zero
+keep that invariant without testing each term again (``Poly._of``):
+
+- a derivative multiplies stored coefficients by positive integers, and a
+  negation flips their sign; neither gives 0 (mpmath has no underflow, and a
+  binary float times an integer >= 1 cannot underflow);
+- a homogeneous part keeps a subset of the stored terms;
+- a sum tests only the exponents where both operands had a term.
+
+Products, scalar multiples and :meth:`Poly.map_coeffs` may cancel or meet a
+zero factor, so they test every term.
 """
 
 from __future__ import annotations
@@ -37,6 +50,14 @@ class Poly:
                     t[(i, j)] = c
         self.terms = t
 
+    @classmethod
+    def _of(cls, terms: dict) -> "Poly":
+        """A Poly holding terms as they are: only for results that provably
+        hold no zero coefficient and no negative exponent."""
+        p = object.__new__(cls)
+        p.terms = terms
+        return p
+
     # ---- constructors -------------------------------------------------
     @classmethod
     def zero(cls) -> "Poly":
@@ -64,13 +85,20 @@ class Poly:
             other = Poly.const(other)
         t = dict(self.terms)
         for k, c in other.terms.items():
-            t[k] = t[k] + c if k in t else c
-        return Poly(t)
+            if k in t:
+                s = t[k] + c
+                if _is_stored_zero(s):
+                    del t[k]
+                else:
+                    t[k] = s
+            else:
+                t[k] = c
+        return Poly._of(t)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly({k: -c for k, c in self.terms.items()})
+        return Poly._of({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -125,7 +153,7 @@ class Poly:
         return max(i + j for i, j in self.terms)
 
     def homogeneous_part(self, k: int) -> "Poly":
-        return Poly({e: c for e, c in self.terms.items() if e[0] + e[1] == k})
+        return Poly._of({e: c for e, c in self.terms.items() if e[0] + e[1] == k})
 
     def homogeneous_parts(self) -> dict[int, "Poly"]:
         out: dict[int, Poly] = {}
@@ -149,17 +177,27 @@ class Poly:
 
     # ---- calculus ------------------------------------------------------
     def diff(self, var: int, times: int = 1) -> "Poly":
-        """Partial derivative with respect to x1 (var=1) or x2 (var=2)."""
-        p = self
-        for _ in range(times):
-            t = {}
-            for (i, j), c in p.terms.items():
-                if var == 1 and i > 0:
-                    t[(i - 1, j)] = c * i
-                elif var == 2 and j > 0:
-                    t[(i, j - 1)] = c * j
-            p = Poly(t)
-        return p
+        """times-th partial derivative with respect to x1 (var=1) or x2
+        (var=2), in one pass over the terms.  A term's coefficient is
+        multiplied by e, e-1, ..., e-times+1 in turn, the products that
+        times single derivatives form, so float coefficients round as they
+        would there."""
+        if times <= 0:
+            return self
+        t = {}
+        if var == 1:
+            for (i, j), c in self.terms.items():
+                if i >= times:
+                    for e in range(i, i - times, -1):
+                        c = c * e
+                    t[(i - times, j)] = c
+        elif var == 2:
+            for (i, j), c in self.terms.items():
+                if j >= times:
+                    for e in range(j, j - times, -1):
+                        c = c * e
+                    t[(i, j - times)] = c
+        return Poly._of(t)
 
     def evaluate(self, x1, x2):
         """Evaluate at a point (convert coefficients first for array inputs)."""

@@ -167,6 +167,13 @@ class QuadElement:
         return (-self)._plus(*o)
 
     def __mul__(self, other):
+        if type(other) is int:
+            # gcd(a, b, c) = 1, so gcd(a*n, b*n, c) = gcd(n, c)
+            c = self._c
+            g = math.gcd(other, c)
+            if g != 1:
+                other, c = other // g, c // g
+            return _make(self._a * other, self._b * other, c, self.d)
         o = self._operand(other)
         if o is None:
             return NotImplemented

@@ -379,9 +379,9 @@ def sample_exit(cfg: SimConfig) -> SimReport:
     need_sim = any(c in cfg.checks for c in ("tau-mean", "tau-second", "exit-position", "tail"))
     # the builders' own finiteness rule, asked before paying for the simulation
     if "tau-mean" in cfg.checks and not cone.admits(2):
-        raise MomentCheckInvalid(f"E[tau] infinite at p_alpha = {cone.p_alpha_float():g}")
+        raise MomentCheckInvalid(f"E[tau] infinite (needs 2 < pi/alpha): {cone.refusal(2)}")
     if "tau-second" in cfg.checks and not cone.admits(4):
-        raise MomentCheckInvalid(f"E[tau^2] infinite at p_alpha = {cone.p_alpha_float():g}")
+        raise MomentCheckInvalid(f"E[tau^2] infinite (needs 4 < pi/alpha): {cone.refusal(4)}")
     if "exit-position" in cfg.checks and not cone.admits(2):
         raise MomentCheckInvalid("exit-position second moments require opening < pi/2")
     tau = exit_y = truncated = None

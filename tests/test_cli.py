@@ -151,6 +151,16 @@ def test_exit_moments_general_angle_walk(tmp_path, capsys):
         assert abs(b - 2 * mpmath.sqrt(2)) <= mpmath.mpf(2) ** -128
 
 
+def test_exit_moments_refused_by_the_guard_band_says_so(capsys):
+    """A slope of 1e12 makes pi/alpha = 2 + 1.3e-12: E[tau] is refused by
+    RESONANCE_GUARD, and pi/alpha must not print as 2."""
+    rc, _, err = run(capsys, "exit-moments", "--k", "1", "--b", "1000000000000", "--walk", "skewed")
+    assert rc == EXIT_VALIDATION
+    assert "pi/alpha = 2 + 1.3e-12 is within the guard band" in err
+    rc, _, err = run(capsys, "exit-moments", "--k", "2", "--walk", "diagonal")
+    assert rc == EXIT_VALIDATION and "pi/alpha = 3 <= 4" in err
+
+
 def test_transform_skewed(capsys):
     rc, out, _ = run(capsys, "transform", "--walk", "skewed")
     obj = json.loads(out)

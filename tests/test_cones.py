@@ -67,6 +67,15 @@ def test_admits_is_degree_below_pi_over_alpha():
     assert near_right.admits(1) and not near_right.admits(2)
 
 
+def test_refusal_prints_pi_over_alpha_apart_from_the_degree():
+    assert make_cone(3).refusal(4) == "pi/alpha = 3 <= 4"
+    assert make_cone(2).refusal(2) == "pi/alpha = 2 <= 2"
+    near_right = cone_from_slope(10**12)
+    assert near_right.refusal(2).startswith("pi/alpha = 2 + 1.3e-12 is within the guard band")
+    wide = cone_from_slope(Fraction(3, 2))  # pi/alpha = 3.19...
+    assert wide.refusal(4) == f"pi/alpha = {float(wide.p_alpha)!r} <= 4"
+
+
 def test_float_fallback():
     cone = make_cone(5)
     assert cone.backend.name.startswith("float")

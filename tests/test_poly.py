@@ -1,11 +1,21 @@
 """Polynomial ring, calculus, and the classical wedge polynomials."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from conewalk import Poly, ValidationError, boundary_ratio, im_power, laplacian, re_power
+from conewalk import (
+    Poly,
+    QuadElement,
+    ValidationError,
+    bigfloat,
+    boundary_ratio,
+    im_power,
+    laplacian,
+    re_power,
+)
 
 
 def test_ring_ops():
@@ -77,3 +87,69 @@ def test_boundary_ratio_rejects_outside():
 def test_negative_exponent_rejected():
     with pytest.raises(ValidationError):
         Poly({(-1, 0): Fraction(1)})
+
+
+# ---- kernels that skip the zero test ------------------------------------
+
+
+def single_diff(p, var):
+    """One derivative term by term, each result through the public
+    constructor: the reference for Poly.diff(var, times)."""
+    t = {}
+    for (i, j), c in p.terms.items():
+        if var == 1 and i > 0:
+            t[(i - 1, j)] = c * i
+        elif var == 2 and j > 0:
+            t[(i, j - 1)] = c * j
+    return Poly(t)
+
+
+def dense_poly(degree, coeff, seed=0):
+    rng = random.Random(seed)
+    return Poly({(i, n - i): coeff(rng) for n in range(degree + 1) for i in range(n + 1)})
+
+
+FIELDS = {
+    "Q": lambda rng: Fraction(rng.randrange(-99, 100) or 1, rng.randrange(1, 13)),
+    "Q(sqrt 3)": lambda rng: QuadElement(Fraction(rng.randrange(-99, 100), rng.randrange(1, 13)),
+                                         Fraction(rng.randrange(1, 50), rng.randrange(1, 7)), 3),
+    "float:256": lambda rng: bigfloat(256).convert(Fraction(rng.randrange(1, 10**9), 3**17)),
+}
+
+
+def stored(p):
+    """Exponents in storage order with exact values or exact binary mpf values."""
+    return [(e, getattr(c, "_mpf_", c)) for e, c in p.terms.items()]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_diff_times_equals_repeated_single_derivatives(field):
+    p = dense_poly(9, FIELDS[field])
+    for var in (1, 2):
+        for times in range(12):
+            want = p
+            for _ in range(times):
+                want = single_diff(want, var)
+            got = p.diff(var, times)
+            assert stored(got) == stored(want), (var, times)
+            assert got.degree() == max(-1, 9 - times)
+
+
+def test_derivative_past_the_degree_is_zero():
+    f = Poly({(3, 0): Fraction(1), (1, 2): Fraction(-3), (0, 0): Fraction(5)})
+    assert f.diff(1, 4).terms == {} and f.diff(2, 3).terms == {}
+    assert f.diff(1, 4).degree() == -1 and f.diff(1, 0) == f
+
+
+def test_no_kernel_result_stores_a_zero():
+    fl = bigfloat(256)
+    x = fl.convert(Fraction(1, 3))
+    for c in (Fraction(2, 7), QuadElement(1, Fraction(1, 2), 3), x):
+        p = Poly({(2, 1): c, (1, 0): c, (0, 0): c})
+        q = Poly({(2, 1): -c, (0, 3): c})
+        for r in (p + q, q + p, p - p, -p + p, p.diff(1, 2), (p + q).homogeneous_part(3)):
+            assert all(v != 0 for v in r.terms.values()), r
+        assert set((p + q).terms) == {(1, 0), (0, 0), (0, 3)}
+        assert (p - p).terms == {} and (p - p).degree() == -1
+    # x + (-x) is an exact mpf zero, and the sum drops it
+    assert Poly({(1, 1): x}) + Poly({(1, 1): -x}) == Poly.zero()

@@ -1,6 +1,8 @@
 """Float fields carry their precision: results on float:N do not depend on
 mpmath's global precision."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -58,3 +60,16 @@ def test_float_results_ignore_the_global_precision(ambient):
         got = results()
     for name in want:
         assert got[name] == want[name], name
+
+
+#: sha256 of results() as JSON, recorded at commit 36817e4; it moves when a
+#: kernel change reorders or regroups float arithmetic
+RESULTS_SHA256 = "8ccb627cb5d460bc672fc6ddd21b7de3fefa552eec2ba73c2059b260431cedfc"
+
+
+def test_float_results_match_the_recorded_digest():
+    """Bit-for-bit across versions, not only within one process.  The
+    mantissas go through int(), so the digest does not depend on mpmath's
+    integer backend."""
+    got = hashlib.sha256(json.dumps(results(), sort_keys=True, default=int).encode()).hexdigest()
+    assert got == RESULTS_SHA256

@@ -247,6 +247,19 @@ def test_quad_arithmetic_matches_model(xy):
 
 
 @quad_settings
+@given(elements())
+def test_quad_times_int_matches_model(x):
+    """The integer fast path of QuadElement.__mul__ reduces by gcd(n, c)
+    alone; a bool operand takes the general path."""
+    for n in (0, 1, -1, -7, 2**70, True):
+        want = ref_mul(pair(x), (Fraction(n), Fraction(0)), x.d)
+        assert_matches(x * n, want, x.d)
+        assert_matches(n * x, want, x.d)
+        got = x * n
+        assert math.gcd(got._a, got._b, got._c) == 1 and got._c > 0
+
+
+@quad_settings
 @given(elements(), st.integers(-4, 6))
 def test_quad_power_matches_model(x, n):
     if x == 0 and n < 0:

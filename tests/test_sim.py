@@ -110,6 +110,21 @@ def test_infinite_moment_guards(monkeypatch):
             sample_exit(SimConfig(walk=w, start=(1, 1), paths=10, seed=0, checks=(check,)))
 
 
+def test_near_resonant_refusal_reads_apart_from_resonant():
+    """pi/alpha = 2 + 1.3e-10 is refused by RESONANCE_GUARD alone, and the
+    message says so instead of printing pi/alpha as 2."""
+    eps = Fraction(1, 10**10)
+    near, far = Fraction(1, 4) - eps / 4, Fraction(1, 4) + eps / 4
+    w_eps = WalkSpec([(1, 1, near), (-1, -1, near), (1, -1, far), (-1, 1, far)])
+    with pytest.raises(MomentCheckInvalid) as err:
+        sample_exit(SimConfig(walk=w_eps, start=(1, 1), paths=10, seed=0, checks=("tau-mean",)))
+    assert "pi/alpha = 2 + 1.3e-10" in str(err.value) and "RESONANCE_GUARD" in str(err.value)
+    with pytest.raises(MomentCheckInvalid) as err:
+        sample_exit(SimConfig(walk=diagonal_walk(), start=(1, 1), paths=10, seed=0,
+                              checks=("tau-second",)))
+    assert "pi/alpha = 3 <= 4" in str(err.value)
+
+
 def test_harmonicity_check_passes():
     for w in (diagonal_walk(), skewed_walk()):
         cfg = SimConfig(walk=w, start=(2, 3), paths=50000, seed=2, checks=("harmonicity",))
