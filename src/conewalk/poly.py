@@ -200,10 +200,17 @@ class Poly:
         return Poly._of(t)
 
     def evaluate(self, x1, x2):
-        """Evaluate at a point (convert coefficients first for array inputs)."""
+        """Evaluate at a point (convert coefficients first for array inputs).
+        Each power of x1 and x2 is raised once; the terms are summed in
+        storage order as c * x1**i * x2**j."""
+        p1, p2 = {}, {}
         out = 0
         for (i, j), c in self.terms.items():
-            out = out + c * x1**i * x2**j
+            if i not in p1:
+                p1[i] = x1**i
+            if j not in p2:
+                p2[j] = x2**j
+            out = out + c * p1[i] * p2[j]
         return out
 
     def substitute_linear(self, a11, a12, a21, a22) -> "Poly":

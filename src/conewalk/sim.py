@@ -10,11 +10,13 @@ transform once, outside the hot loop.
 Draw order: within a chunk, path i consumes the same stream draws as under
 one-at-a-time stepping, where each step takes one draw per surviving path
 in path order.  A chunk steps alone only while many of its paths survive;
-then the survivors of a group of chunks step as one array, in blocks of
-steps once few are left (see _simulate_exits).  Every chunk still draws
-from its own stream under this rule, so the schedule changes no report.
-A draw is the stream's raw 64-bit word, and its atom is the one that
-Generator.random's double of that word picks (see _atom_sampler).
+then the survivors of a group of chunks step as one array.  An array takes
+one step at a time while many of its paths survive and blocks of steps
+once few are left (see _simulate_exits).  Every chunk still draws from its
+own stream under this rule, so the schedule changes no report.  A draw is
+the stream's raw 64-bit word, and its atom is the one that
+Generator.random's double of that word picks (see _atom_sampler); the
+steps read the atom's jump off per-bucket tables (see _jump_sampler).
 """
 
 from __future__ import annotations
@@ -121,6 +123,27 @@ def _path_dtype(cfg: SimConfig):
     return np.int32 if max(cfg.start) + cfg.max_steps * jump < 2**31 else np.int64
 
 
+def _atom_table(atoms):
+    """(cum, table, split) for the draws of a walk: the cumulative
+    probabilities, each bucket's atom (the one of its lowest double) and
+    whether an edge of cum lies inside the bucket."""
+    cum = np.cumsum(np.array([float(p) for _, _, p in atoms]))
+    cum[-1] = 1.0
+    lo = np.arange(ATOM_TABLE) / ATOM_TABLE  # bucket edges are exact dyadics
+    table = np.searchsorted(cum, lo, side="right")
+    split = table != np.searchsorted(cum, lo + 1 / ATOM_TABLE, side="left")
+    return cum, table, split
+
+
+#: keeps the top log2(ATOM_TABLE) bits of a raw draw, its bucket
+_BUCKET_SHIFT = np.uint64(64 - (ATOM_TABLE.bit_length() - 1))
+
+
+def _exact_atoms(cum, raw: np.ndarray) -> np.ndarray:
+    """The atom of each raw draw by searchsorted on its double."""
+    return np.searchsorted(cum, (raw >> np.uint64(11)) * 2.0**-53, side="right")
+
+
 def _atom_sampler(atoms):
     """pick(raw): the atom index of each raw 64-bit draw, the number of
     cumulative-probability edges <= u for the double
@@ -130,22 +153,41 @@ def _atom_sampler(atoms):
     answers the draws whose bucket holds no edge, searchsorted the few in
     the buckets that do.  Reading the bucket off the bits spares a
     float-to-integer conversion that cost about as much as the draw."""
-    cum = np.cumsum(np.array([float(p) for _, _, p in atoms]))
-    cum[-1] = 1.0
-    lo = np.arange(ATOM_TABLE) / ATOM_TABLE  # bucket edges are exact dyadics
-    table = np.searchsorted(cum, lo, side="right")
-    split = table != np.searchsorted(cum, lo + 1 / ATOM_TABLE, side="left")
-    shift = np.uint64(64 - (ATOM_TABLE.bit_length() - 1))  # keeps log2(ATOM_TABLE) bits
+    cum, table, split = _atom_table(atoms)
 
     def pick(raw: np.ndarray) -> np.ndarray:
-        bucket = (raw >> shift).view(np.intp)
+        bucket = (raw >> _BUCKET_SHIFT).view(np.intp)
         j = table.take(bucket)
         fix = np.flatnonzero(split.take(bucket))
         if fix.size:
-            j[fix] = np.searchsorted(cum, (raw[fix] >> np.uint64(11)) * 2.0**-53, side="right")
+            j[fix] = _exact_atoms(cum, raw[fix])
         return j
 
     return pick
+
+
+def _jump_sampler(atoms, dtype):
+    """jumps(raw): the (dx, dy) of the atom that pick gives each raw draw,
+    read off per-bucket jump tables.  Only a walk with an edge inside some
+    bucket tests its draws for one; a walk whose probabilities are
+    multiples of 1 / ATOM_TABLE (every dyadic walk up to that) has none."""
+    cum, table, split = _atom_table(atoms)
+    jx = np.array([a for a, _, _ in atoms], dtype=dtype)
+    jy = np.array([b for _, b, _ in atoms], dtype=dtype)
+    tx, ty = jx.take(table), jy.take(table)
+    edges = bool(split.any())
+
+    def jumps(raw: np.ndarray):
+        bucket = (raw >> _BUCKET_SHIFT).view(np.intp)
+        dx, dy = tx.take(bucket), ty.take(bucket)
+        if edges:
+            fix = np.flatnonzero(split.take(bucket))
+            if fix.size:
+                j = _exact_atoms(cum, raw[fix])
+                dx[fix], dy[fix] = jx.take(j), jy.take(j)
+        return dx, dy
+
+    return jumps
 
 
 def _simulate_exits(cfg: SimConfig):
@@ -163,42 +205,59 @@ def _simulate_exits(cfg: SimConfig):
     step hands each chunk's survivors the next draws of the chunk's own
     stream, in path order.
 
-    While more than BLOCK_SWITCH paths of an array survive, each step takes
-    one draw per survivor.  Below that, a block of k steps takes k draws per
-    survivor of each chunk, row by row from the chunk's buffer, and is
-    advanced with a cumulative sum; the rows after the first one with an
-    exit in any chunk are discarded and their draws go back to the chunks'
-    buffers.  A buffer takes at least DRAW_BATCH draws from its stream at a
-    time.  Philox draws concatenate, so either way path i consumes exactly
-    the draws that one-at-a-time stepping would give it.  After a block
-    without an exit k doubles; after an exit at row r it becomes 2*(r+1),
-    capped by the steps left and by BLOCK_DRAWS."""
+    While more than BLOCK_SWITCH paths of an array survive, each step draws
+    one row, one draw per survivor, adds the jumps in place and compacts
+    the array only when some path exited.  Below that, a block of k steps
+    takes k draws per survivor of each chunk, row by row from the chunk's
+    buffer, and is advanced with a cumulative sum; the rows after the first
+    one with an exit in any chunk are discarded and their draws go back to
+    the chunks' buffers.  A buffer takes at least DRAW_BATCH draws from its
+    stream at a time.  Philox draws concatenate, so either way path i
+    consumes exactly the draws that one-at-a-time stepping would give it.
+    The first block after single steps has k = 2; after a block without an
+    exit k doubles, and after an exit at row r it becomes 2*(r+1), capped
+    by the steps left and by BLOCK_DRAWS."""
     # imported here: the simulator's import path does not load logging
     import logging
 
     log = logging.getLogger(__name__)
     debug = log.isEnabledFor(logging.DEBUG)
-    atoms = cfg.walk.atoms
     dtype = _path_dtype(cfg)
-    jx = np.array([a for a, _, _ in atoms], dtype=dtype)
-    jy = np.array([b for _, b, _ in atoms], dtype=dtype)
-    pick = _atom_sampler(atoms)
+    jumps = _jump_sampler(cfg.walk.atoms, dtype)
     tau = np.empty(cfg.paths, dtype=dtype)
     exit_y = np.empty((cfg.paths, 2), dtype=dtype)
+    exit_y1, exit_y2 = exit_y[:, 0], exit_y[:, 1]  # 1-D views scatter faster
     truncated = np.zeros(cfg.paths, dtype=bool)
     n_chunks = (cfg.paths + CHUNK - 1) // CHUNK
     group = min(n_chunks, CHUNK // BLOCK_SWITCH)
     park = CHUNK // group
 
+    def record(s: _Survivors, out: np.ndarray, t: int):
+        """Take the paths marked in out off s, at time t."""
+        done, y1, y2 = s.remove(out)
+        tau[done] = t
+        exit_y1[done] = y1
+        exit_y2[done] = y2
+        return done
+
     def advance(s: _Survivors, stop: int, until: int):
         """Step s until at most stop of its paths survive or it is at step until."""
         k = 1
+        while s.idx.size > max(stop, BLOCK_SWITCH) and s.step < until:
+            dx, dy = jumps(s.draws(1))
+            s.consume(1)
+            s.x += dx
+            s.y += dy
+            del dx, dy  # free them before the exits allocate
+            out = np.minimum(s.x, s.y) <= 0
+            if out.any():
+                record(s, out, s.step)
+            k = 2
         while s.idx.size > stop and s.step < until:
             n = s.idx.size
-            k = 1 if n > BLOCK_SWITCH else min(k, until - s.step, BLOCK_DRAWS // n)
-            j = pick(s.draws(k)).reshape(k, n)
-            bx, by = jx[j], jy[j]
-            del j  # 8 bytes a draw: free it before the exits allocate
+            k = min(k, until - s.step, BLOCK_DRAWS // n)
+            bx, by = jumps(s.draws(k))
+            bx, by = bx.reshape(k, n), by.reshape(k, n)
             if k > 1:  # a one-row cumsum would only copy
                 bx, by = bx.cumsum(axis=0, dtype=dtype), by.cumsum(axis=0, dtype=dtype)
             bx += s.x
@@ -211,10 +270,7 @@ def _simulate_exits(cfg: SimConfig):
             if not hit[r]:
                 k *= 2
                 continue
-            done, ex, ey = s.remove(np.flatnonzero(out[r]), np.flatnonzero(~out[r]))
-            tau[done] = s.step
-            exit_y[done, 0] = ex
-            exit_y[done, 1] = ey
+            record(s, out[r], s.step)
             k = 2 * (r + 1)
 
     def finish(parked: list):
@@ -226,11 +282,7 @@ def _simulate_exits(cfg: SimConfig):
             advance(p, 0, sync)
         s = _Survivors.join([p for _, p, _ in parked])
         advance(s, 0, cfg.max_steps)
-        done, ex, ey = s.remove(np.arange(s.idx.size), np.empty(0, dtype=np.intp))
-        tau[done] = cfg.max_steps
-        exit_y[done, 0] = ex
-        exit_y[done, 1] = ey
-        truncated[done] = True
+        truncated[record(s, np.ones(s.idx.size, dtype=bool), cfg.max_steps)] = True
         if debug:
             _log_group(log, parked, sync, tau, truncated, cfg, time.perf_counter() - started)
 
@@ -252,7 +304,8 @@ class _Survivors:
     the cap, all at one step, as one array ordered by (chunk, path).  Each
     chunk keeps its own stream, its buffer of drawn but unused draws, its
     first path index and its count of survivors; idx holds each path's
-    offset within its chunk."""
+    offset within its chunk, and a joint array's slot each path's chunk
+    (its position in the lists)."""
 
     def __init__(self, rng, lo: int, size: int, start, dtype):
         self.rng = [rng]
@@ -261,6 +314,7 @@ class _Survivors:
         self.counts = np.array([size])
         self.step = 0
         self.idx = np.arange(size, dtype=np.min_scalar_type(CHUNK - 1))
+        self.slot = None
         self.x = np.full(size, start[0], dtype=dtype)
         self.y = np.full(size, start[1], dtype=dtype)
 
@@ -276,6 +330,8 @@ class _Survivors:
         s.counts = np.concatenate([p.counts for p in parts])
         s.step = max(p.step for p in parts)  # a chunk left behind has no survivors
         s.idx = np.concatenate([p.idx for p in parts])
+        # a group holds at most CHUNK // BLOCK_SWITCH = 128 chunks
+        s.slot = np.repeat(np.arange(s.counts.size, dtype=np.uint8), s.counts)
         s.x = np.concatenate([p.x for p in parts])
         s.y = np.concatenate([p.y for p in parts])
         return s
@@ -301,18 +357,22 @@ class _Survivors:
             self.buf[g] = self.buf[g][steps * n :]
         self.step += steps
 
-    def remove(self, gone: np.ndarray, kept: np.ndarray):
-        """Take out the paths at positions gone, kept holding the others;
-        returns their path indices and positions."""
-        if self.counts.size > 1:
-            chunk = np.searchsorted(np.cumsum(self.counts), gone, side="right")
-            self.counts = self.counts - np.bincount(chunk, minlength=self.counts.size)
-        else:
-            chunk = 0
+    def remove(self, out: np.ndarray):
+        """Take out the paths that out marks; returns their path indices
+        and positions."""
+        # gathers by index: masks of many exits index several times slower
+        gone, kept = np.flatnonzero(out), np.flatnonzero(~out)
+        if self.slot is None:
             self.counts = self.counts - gone.size
-        out = self.lo[chunk] + self.idx[gone], self.x[gone], self.y[gone]
-        self.idx, self.x, self.y = self.idx[kept], self.x[kept], self.y[kept]
-        return out
+            done = self.lo[0] + self.idx.take(gone)
+        else:
+            slot = self.slot.take(gone)
+            self.counts = self.counts - np.bincount(slot, minlength=self.counts.size)
+            done = self.lo.take(slot) + self.idx.take(gone)
+            self.slot = self.slot.take(kept)
+        ex, ey = self.x.take(gone), self.y.take(gone)
+        self.idx, self.x, self.y = self.idx.take(kept), self.x.take(kept), self.y.take(kept)
+        return done, ex, ey
 
 
 def _log_group(log, parked: list, sync: int, tau, truncated, cfg: SimConfig, joint_seconds: float):
@@ -353,12 +413,14 @@ def _pullback_value(poly: Poly, w: WalkSpec, y: tuple) -> float:
 
 
 def _mean_se(values: np.ndarray):
-    est = float(np.mean(values))
+    """np.mean(values) and np.std(values, ddof=1) / sqrt(n), from one sum:
+    the float64 sum that both take, divided by n, is the mean np.std uses."""
+    mean = np.add.reduce(values, dtype=np.float64, keepdims=True) / values.size
     if values.size > 1:
-        se = float(np.std(values, ddof=1) / math.sqrt(values.size))
+        se = float(np.std(values, ddof=1, mean=mean) / math.sqrt(values.size))
     else:
         se = 0.0
-    return est, se
+    return float(mean[0]), se
 
 
 def _zpass(est: float, se: float, target: float):
@@ -438,17 +500,20 @@ def sample_exit(cfg: SimConfig) -> SimReport:
         ep = exit_position_moments(cone, w.map_point(*cfg.start))
         tr = w.transform
         t11, t12, t22 = (float(t) for t in (tr.t11, tr.t12, tr.t22))
-        y = exit_y.compress(~truncated, axis=0) if n_trunc else exit_y
+        y0, y1 = exit_y[:, 0], exit_y[:, 1]
+        if n_trunc:  # each column on its own: no (n, 2) copy
+            y0, y1 = y0[~truncated], y1[~truncated]
 
         def moments(sample):  # then its square, in place: x**2 is np.square(x)
             return _mean_se(sample), _mean_se(np.square(sample, out=sample))
 
         # one float sample alive at a time
-        x1 = t11 * y[:, 0]
-        x1 += t12 * y[:, 1]
+        x1 = t11 * y0
+        del y0
+        x1 += t12 * y1
         mean1, second1 = moments(x1)
         del x1
-        mean2, second2 = moments(t22 * y[:, 1])
+        mean2, second2 = moments(t22 * y1)
         for name, (est, se), target in (
             ("exit-mean-x1", mean1, float(ep.mean1)),
             ("exit-mean-x2", mean2, float(ep.mean2)),
@@ -464,7 +529,7 @@ def sample_exit(cfg: SimConfig) -> SimReport:
                     target=target,
                     z=z,
                     passed=ok,
-                    note=f"completed paths only ({y.shape[0]})",
+                    note=f"completed paths only ({y1.size})",
                 )
             )
 
@@ -539,7 +604,7 @@ def _fit_tail(tau: np.ndarray, max_steps: int):
     ns = []
     n = TAIL_FIT_MIN
     while n < max_steps:
-        surv = int((tau > n).sum())
+        surv = np.count_nonzero(tau > n)
         if surv < TAIL_MIN_SURVIVORS:
             break
         ns.append((n, surv))

@@ -153,3 +153,23 @@ def test_no_kernel_result_stores_a_zero():
         assert (p - p).terms == {} and (p - p).degree() == -1
     # x + (-x) is an exact mpf zero, and the sum drops it
     assert Poly({(1, 1): x}) + Poly({(1, 1): -x}) == Poly.zero()
+
+
+POINTS = {
+    "Q": (Fraction(3, 7), Fraction(-5, 2)),
+    "Q(sqrt 3)": (QuadElement(Fraction(1, 2), Fraction(1, 3), 3), QuadElement(-2, Fraction(3, 5), 3)),
+    "float:256": (bigfloat(256).convert(Fraction(2, 3)), bigfloat(256).convert(Fraction(-7, 5))),
+}
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_evaluate_equals_term_by_term_sum(field):
+    """evaluate raises each power once and gives the sum of c * x1**i * x2**j
+    in storage order bit for bit; every exponent occurs in several terms."""
+    p = dense_poly(9, FIELDS[field])
+    x1, x2 = POINTS[field]
+    want = 0
+    for (i, j), c in p.terms.items():
+        want = want + c * x1**i * x2**j
+    got = p.evaluate(x1, x2)
+    assert getattr(got, "_mpf_", got) == getattr(want, "_mpf_", want)

@@ -2,6 +2,7 @@
 moment-finiteness guards."""
 
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -24,7 +25,16 @@ from conewalk import (
     skewed_walk,
 )
 from conewalk import sim
-from conewalk.sim import BLOCK_SWITCH, CHUNK, _chunk_rng, _path_dtype, _simulate_exits
+from conewalk.sim import (
+    BLOCK_SWITCH,
+    CHUNK,
+    _atom_table,
+    _chunk_rng,
+    _jump_sampler,
+    _path_dtype,
+    _simulate_exits,
+)
+from conftest import W_A, W_C
 
 
 def _reference_exits(cfg, chunk=CHUNK):
@@ -149,6 +159,9 @@ def test_skewed_walk_tau_mean():
         (simple_walk, (1, 1), CHUNK + 3001, 1237),
         (diagonal_walk, (2, 1), 5000, 151),
         (skewed_walk, (1, 2), 70001, 100_000),
+        # edges of the cumulative probabilities inside atom-table buckets
+        pytest.param(lambda: WalkSpec(W_A), (1, 2), 20000, 1000, id="W_A"),
+        pytest.param(lambda: WalkSpec(W_C), (2, 1), 20000, 1000, id="W_C"),
     ],
 )
 def test_block_stepping_matches_one_step_reference(walk, start, paths, max_steps):
@@ -162,6 +175,42 @@ def test_block_stepping_matches_one_step_reference(walk, start, paths, max_steps
     assert paths % CHUNK > BLOCK_SWITCH and truncated.sum() < BLOCK_SWITCH
     if walk is not skewed_walk:
         assert truncated.any() and (tau[truncated] == max_steps).all()
+
+
+@pytest.mark.parametrize(
+    "make_walk, edges", [(skewed_walk, False), (lambda: WalkSpec(W_A), True)], ids=["dyadic", "W_A"]
+)
+def test_jump_sampler_matches_searchsorted(make_walk, edges):
+    """The jump of each raw word is the one of the atom that searchsorted
+    finds for the word's double, also for words on and beside each edge."""
+    atoms = make_walk().atoms
+    assert _atom_table(atoms)[2].any() == edges
+    jumps = np.array([[a, b] for a, b, _ in atoms])
+    cum = np.cumsum(np.array([float(p) for _, _, p in atoms]))
+    cum[-1] = 1.0
+    edge = (cum[:-1] * 2.0**53).astype(np.int64)  # the 53-bit word of each edge
+    near = [((edge + d) << 11).astype(np.uint64) for d in range(-2, 3)]
+    raw = np.concatenate([_chunk_rng(3, 0).bit_generator.random_raw(10**5), *near])
+    want = jumps[np.searchsorted(cum, (raw >> np.uint64(11)) * 2.0**-53, side="right")]
+    dx, dy = _jump_sampler(atoms, np.int32)(raw)
+    assert (dx == want[:, 0]).all() and (dy == want[:, 1]).all()
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.float64])
+def test_mean_se_equals_numpy(dtype):
+    """_mean_se reads the mean off the sum that np.std takes, so it must
+    equal np.mean and np.std(ddof=1) / sqrt(n) bit for bit; a numpy whose
+    np.std sums otherwise fails here instead of moving the reports."""
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 127, 128, 129, 8191, 8192, 8193, 65537, 10**6):
+        if dtype is np.float64:
+            v = rng.standard_normal(n) * 1e3 + 7.5
+        else:
+            v = rng.integers(1, np.iinfo(dtype).max // 2, n, dtype=dtype)
+        est, se = sim._mean_se(v)
+        assert est.hex() == float(np.mean(v)).hex(), n
+        want = float(np.std(v, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        assert se.hex() == want.hex(), n
 
 
 def _matches_reference(cfg, chunk=CHUNK):
@@ -313,7 +362,7 @@ def test_int64_paths_match_int32_paths():
 def test_sample_exit_peak_bytes_per_path():
     """The traced peak of a tau-mean and exit-position run on 2^18 paths.
     Int64 path arrays with four float64 samples alive at once took 97 bytes
-    per path; int32 arrays with one float sample at a time take 37."""
+    per path; int32 arrays with one float sample at a time take 33."""
     walk = diagonal_walk()
 
     def cfg(paths):
