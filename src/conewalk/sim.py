@@ -15,8 +15,8 @@ one step at a time while many of its paths survive and blocks of steps
 once few are left (see _simulate_exits).  Every chunk still draws from its
 own stream under this rule, so the schedule changes no report.  A draw is
 the stream's raw 64-bit word, and its atom is the one that
-Generator.random's double of that word picks (see _atom_sampler); the
-steps read the atom's jump off per-bucket tables (see _jump_sampler).
+Generator.random's double of that word picks, and the steps read the
+atom's jump off per-bucket tables (see _table_sampler).
 """
 
 from __future__ import annotations
@@ -144,50 +144,35 @@ def _exact_atoms(cum, raw: np.ndarray) -> np.ndarray:
     return np.searchsorted(cum, (raw >> np.uint64(11)) * 2.0**-53, side="right")
 
 
-def _atom_sampler(atoms):
-    """pick(raw): the atom index of each raw 64-bit draw, the number of
-    cumulative-probability edges <= u for the double
+def _table_sampler(atoms, *columns):
+    """sample(raw): for each raw 64-bit draw, the entry of each column (an
+    array of one value per atom) at the draw's atom.  The atom is the number
+    of cumulative-probability edges <= u for the double
     u = (raw >> 11) * 2**-53 that Generator.random makes of the same draw,
     as np.searchsorted(cum, u, side="right") gives it.  The top 12 bits of
-    raw are the bucket floor(u * ATOM_TABLE); a table over the buckets
-    answers the draws whose bucket holds no edge, searchsorted the few in
-    the buckets that do.  Reading the bucket off the bits spares a
-    float-to-integer conversion that cost about as much as the draw."""
-    cum, table, split = _atom_table(atoms)
-
-    def pick(raw: np.ndarray) -> np.ndarray:
-        bucket = (raw >> _BUCKET_SHIFT).view(np.intp)
-        j = table.take(bucket)
-        fix = np.flatnonzero(split.take(bucket))
-        if fix.size:
-            j[fix] = _exact_atoms(cum, raw[fix])
-        return j
-
-    return pick
-
-
-def _jump_sampler(atoms, dtype):
-    """jumps(raw): the (dx, dy) of the atom that pick gives each raw draw,
-    read off per-bucket jump tables.  Only a walk with an edge inside some
+    raw are the bucket floor(u * ATOM_TABLE); per-bucket tables of the
+    columns answer the draws whose bucket holds no edge, searchsorted the
+    few in the buckets that do.  Only a walk with an edge inside some
     bucket tests its draws for one; a walk whose probabilities are
-    multiples of 1 / ATOM_TABLE (every dyadic walk up to that) has none."""
+    multiples of 1 / ATOM_TABLE (every dyadic walk up to that) has none.
+    Reading the bucket off the bits spares a float-to-integer conversion
+    that cost about as much as the draw."""
     cum, table, split = _atom_table(atoms)
-    jx = np.array([a for a, _, _ in atoms], dtype=dtype)
-    jy = np.array([b for _, b, _ in atoms], dtype=dtype)
-    tx, ty = jx.take(table), jy.take(table)
+    tables = [c.take(table) for c in columns]
     edges = bool(split.any())
 
-    def jumps(raw: np.ndarray):
+    def sample(raw: np.ndarray) -> list:
         bucket = (raw >> _BUCKET_SHIFT).view(np.intp)
-        dx, dy = tx.take(bucket), ty.take(bucket)
+        out = [t.take(bucket) for t in tables]
         if edges:
             fix = np.flatnonzero(split.take(bucket))
             if fix.size:
                 j = _exact_atoms(cum, raw[fix])
-                dx[fix], dy[fix] = jx.take(j), jy.take(j)
-        return dx, dy
+                for o, c in zip(out, columns):
+                    o[fix] = c.take(j)
+        return out
 
-    return jumps
+    return sample
 
 
 def _simulate_exits(cfg: SimConfig):
@@ -223,7 +208,11 @@ def _simulate_exits(cfg: SimConfig):
     log = logging.getLogger(__name__)
     debug = log.isEnabledFor(logging.DEBUG)
     dtype = _path_dtype(cfg)
-    jumps = _jump_sampler(cfg.walk.atoms, dtype)
+    jumps = _table_sampler(
+        cfg.walk.atoms,
+        np.array([a for a, _, _ in cfg.walk.atoms], dtype=dtype),
+        np.array([b for _, b, _ in cfg.walk.atoms], dtype=dtype),
+    )
     tau = np.empty(cfg.paths, dtype=dtype)
     exit_y = np.empty((cfg.paths, 2), dtype=dtype)
     exit_y1, exit_y2 = exit_y[:, 0], exit_y[:, 1]  # 1-D views scatter faster
@@ -564,13 +553,14 @@ def _harmonicity_check(cfg: SimConfig) -> CheckResult:
     vals = np.array(
         [_pullback_value(h, w, (cfg.start[0] + a, cfg.start[1] + b)) for a, b, _ in w.atoms]
     )
-    pick = _atom_sampler(w.atoms)
+    pick = _table_sampler(w.atoms, np.arange(len(w.atoms)))
     counts = np.zeros(len(w.atoms), dtype=np.int64)
     n_chunks = (cfg.paths + CHUNK - 1) // CHUNK
     for ci in range(n_chunks):
         count = min((ci + 1) * CHUNK, cfg.paths) - ci * CHUNK
         rng = _chunk_rng(cfg.seed, ci, substream=1)
-        counts += np.bincount(pick(rng.bit_generator.random_raw(count)), minlength=len(w.atoms))
+        (j,) = pick(rng.bit_generator.random_raw(count))
+        counts += np.bincount(j, minlength=len(w.atoms))
     n = counts.sum()
     est = float(np.dot(counts, vals) / n)
     var = float(np.dot(counts, (vals - est) ** 2) / max(n - 1, 1))

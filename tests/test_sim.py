@@ -30,9 +30,9 @@ from conewalk.sim import (
     CHUNK,
     _atom_table,
     _chunk_rng,
-    _jump_sampler,
     _path_dtype,
     _simulate_exits,
+    _table_sampler,
 )
 from conftest import W_A, W_C
 
@@ -192,7 +192,7 @@ def test_jump_sampler_matches_searchsorted(make_walk, edges):
     near = [((edge + d) << 11).astype(np.uint64) for d in range(-2, 3)]
     raw = np.concatenate([_chunk_rng(3, 0).bit_generator.random_raw(10**5), *near])
     want = jumps[np.searchsorted(cum, (raw >> np.uint64(11)) * 2.0**-53, side="right")]
-    dx, dy = _jump_sampler(atoms, np.int32)(raw)
+    dx, dy = _table_sampler(atoms, *jumps.T.astype(np.int32))(raw)
     assert (dx == want[:, 0]).all() and (dy == want[:, 1]).all()
 
 
