@@ -32,7 +32,7 @@ from .jsonio import (
     walk_to_obj,
 )
 from .linsys import build_matrix
-from .scalars import RATIONAL, backend_from_name, format_scalar
+from .scalars import RATIONAL, backend_from_name, bigfloat, format_scalar
 from .walks import MomentTable, WalkSpec, builtin_walks, check_no_overshoot, push_moments
 
 log = logging.getLogger("conewalk")
@@ -198,6 +198,8 @@ def cmd_transform(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.points < 1:
+        raise ValidationError(f"--points must be at least 1, got {args.points}")
     w = _walk(args)
     m = args.m if args.m is not None else w.cone.m
     if m is None:
@@ -265,6 +267,10 @@ def cmd_alt_eliminate(args) -> int:
 def cmd_self_test(args) -> int:
     from .diagnostics import self_test
 
+    try:
+        bigfloat(args.float_bits)
+    except ValueError as e:  # refused here, not reported as failing properties
+        raise ValidationError(f"--float-bits {args.float_bits}: {e}") from None
     results = self_test(seed=args.seed, float_bits=args.float_bits)
     all_ok = True
     for r in results:

@@ -8,7 +8,7 @@ import math
 
 from .errors import InsufficientMoments
 from .poly import Poly, laplacian
-from .scalars import Backend
+from .scalars import Backend, exact_poly_sum
 from .walks import MomentTable, WalkSpec, _image
 
 
@@ -41,10 +41,19 @@ def one_step_residual(h: Poly, w: WalkSpec, y: tuple[int, int], backend: Backend
     lattice point y; zero iff h is one-step harmonic there.  This is the
     independent oracle for the symbolic expansion.  backend is h's field
     when it is not the field of the walk's cone (an --m other than the
-    walk's own): the lattice images are lifted into it."""
+    walk's own): the lattice images are lifted into it.
+
+    On exact fields h's coefficients, the 1 + #atoms images and the atom
+    probabilities go into one integer sum (:func:`exact_poly_sum`); on
+    float fields the terms are added in the order written above."""
     backend = backend or w.cone.backend
     y1, y2 = y
-    acc = -h.evaluate(*_image(w, y, backend))
-    for a, b, p in w.atoms:
-        acc = acc + p * h.evaluate(*_image(w, (y1 + a, y2 + b), backend))
+    points = [_image(w, y, backend)] + [_image(w, (y1 + a, y2 + b), backend) for a, b, _ in w.atoms]
+    weights = [-1] + [p for _, _, p in w.atoms]
+    acc = exact_poly_sum(h.terms, points, weights)
+    if acc is not None:
+        return acc
+    acc = -h.evaluate(*points[0])
+    for p, point in zip(weights[1:], points[1:]):
+        acc = acc + p * h.evaluate(*point)
     return acc

@@ -25,6 +25,7 @@ import math
 from fractions import Fraction
 
 from .errors import BoundaryPointError, ValidationError
+from .scalars import exact_poly_sum
 
 
 def _is_stored_zero(c) -> bool:
@@ -201,8 +202,16 @@ class Poly:
 
     def evaluate(self, x1, x2):
         """Evaluate at a point (convert coefficients first for array inputs).
-        Each power of x1 and x2 is raised once; the terms are summed in
-        storage order as c * x1**i * x2**j."""
+
+        Exact coefficients at an exact point (int, Fraction, or QuadElement
+        of one field) are summed in integers over one common denominator
+        (:func:`conewalk.scalars.exact_poly_sum`), giving the value, type
+        and field the scalar sum gives.  Any other input (mpf, float, numpy
+        arrays, Polys) is summed in storage order as c * x1**i * x2**j,
+        each power of x1 and x2 raised once."""
+        v = exact_poly_sum(self.terms, ((x1, x2),), (1,))
+        if v is not None:
+            return v
         p1, p2 = {}, {}
         out = 0
         for (i, j), c in self.terms.items():

@@ -291,6 +291,103 @@ def _reduced(a: int, b: int, c: int, d: int) -> QuadElement:
     return _make(a, b, c, d)
 
 
+def _exact_field(values):
+    """The field a sum of products of values lands in: 0 when all are int,
+    1 when some are Fraction and none QuadElement, d when the QuadElements
+    all lie in Q(sqrt(d)).  None when some value is of another type or the
+    QuadElements come from two fields."""
+    types = set(map(type, values))
+    if QuadElement in types:
+        if not types <= {int, Fraction, QuadElement}:
+            return None
+        ds = {v.d for v in values if type(v) is QuadElement}
+        return ds.pop() if len(ds) == 1 else None
+    if types <= {int}:
+        return 0
+    return 1 if types <= {int, Fraction} else None
+
+
+def exact_poly_sum(terms: dict, points, weights):
+    """sum_k weights[k] * sum_(i,j) c_ij * x1_k**i * x2_k**j over the terms
+    {(i, j): c_ij} of a polynomial and the points (x1_k, x2_k), computed in
+    integers when every value is an int, Fraction or QuadElement of one
+    field Q(sqrt(d)).
+
+    Each value is written as (a + b*sqrt(d)) / c, the sum is taken over
+    one common denominator, and one scalar is built at the end: the value,
+    type and field that the same sum in scalar arithmetic gives (an int
+    when every input is one, else a Fraction, else a QuadElement of d).
+    Returns None for any other input (mpf, float, numpy, Poly, or
+    QuadElements of two fields), which the caller sums in its own
+    arithmetic."""
+    values = list(weights)
+    if terms:
+        values += terms.values()
+        values += [x for point in points for x in point]
+    d = _exact_field(values)
+    if d is None:
+        return None
+    if not terms:
+        return 0 * sum(weights)  # no term is evaluated: the weights alone set the type
+    # on Q every b is 0, so the field codes d = 0 and 1 are never read
+    coeffs = {e: _triple(c) for e, c in terms.items()}
+    den = math.lcm(*[c for _, _, c in coeffs.values()])
+    rows: dict[int, list] = {}
+    for (i, j), (a, b, c) in coeffs.items():
+        rows.setdefault(i, []).append((j, a * (den // c), b * (den // c)))
+    n1, n2 = max(rows), max(j for _, j in terms)
+    sums, dens = [], []
+    for (x1, x2), w in zip(points, weights):
+        a1, b1, c1 = _triple(x1)
+        a2, b2, c2 = _triple(x2)
+        p1, p2 = _powers(a1, b1, c1, n1, d), _powers(a2, b2, c2, n2, d)
+        sa = sb = 0
+        for i, row in rows.items():
+            ra = rb = 0
+            for j, a, b in row:
+                qa, qb = p2[j]
+                ra += a * qa + b * qb * d
+                rb += a * qb + b * qa
+            qa, qb = p1[i]
+            sa += ra * qa + rb * qb * d
+            sb += ra * qb + rb * qa
+        wa, wb, wc = _triple(w)
+        sums.append((wa * sa + wb * sb * d, wa * sb + wb * sa))
+        dens.append(wc * c1**n1 * c2**n2)
+    common = math.lcm(*dens)
+    na = sum(sa * (common // dk) for (sa, _), dk in zip(sums, dens))
+    if d == 0:
+        return na
+    if d == 1:
+        return Fraction(na, den * common)
+    nb = sum(sb * (common // dk) for (_, sb), dk in zip(sums, dens))
+    return _reduced(na, nb, den * common, d)
+
+
+def _triple(v) -> tuple[int, int, int]:
+    """An int, Fraction or QuadElement as integers (a, b, c), c > 0, with
+    v = (a + b*sqrt(d)) / c."""
+    if type(v) is QuadElement:
+        return v._a, v._b, v._c
+    return v.numerator, 0, v.denominator
+
+
+def _powers(a: int, b: int, c: int, n: int, d: int) -> list[tuple[int, int]]:
+    """The numerators of ((a + b*sqrt(d)) / c)**i over c**n, i = 0..n, as
+    integer pairs (a_i, b_i) meaning a_i + b_i*sqrt(d)."""
+    out = [(1, 0)] * (n + 1)
+    for i in range(1, n + 1):
+        pa, pb = out[i - 1]
+        out[i] = (pa * a + pb * b * d, pa * b + pb * a)
+    if c != 1:
+        t = c
+        for i in range(n - 1, -1, -1):
+            pa, pb = out[i]
+            out[i] = (pa * t, pb * t)
+            t *= c
+    return out
+
+
 def is_mpf(v) -> bool:
     """Whether v is an mpmath real of any context.  False while mpmath is
     not loaded: no mpf can exist before its module is imported."""

@@ -1,5 +1,6 @@
 """Shared helpers: valid moment tables with chosen or random higher moments,
-and walks whose wedge is not the one their transform's field suggests."""
+walks whose wedge is not the one their transform's field suggests, and the
+scalar-arithmetic reference for polynomial evaluation."""
 
 import random
 from fractions import Fraction
@@ -28,6 +29,15 @@ def make_moment_table(order=4, backend=RATIONAL, higher=None, rng=None):
                 if k + l >= 3:
                     mu[(k, l)] = Fraction(rng.randint(-20, 20), rng.randint(1, 20))
     return MomentTable(order=order, mu=mu, backend=backend)
+
+
+def scalar_sum(p, x1, x2):
+    """p(x1, x2) in the scalars' own arithmetic: the terms in storage order,
+    each as c * x1**i * x2**j, added to an int 0."""
+    out = 0
+    for (i, j), c in p.terms.items():
+        out = out + c * x1**i * x2**j
+    return out
 
 
 #: rho = -1/2, sigma12 = -1/3: exactly pi/3, but the transform needs sqrt(2)

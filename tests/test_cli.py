@@ -189,6 +189,21 @@ def test_self_test_exit_codes(capsys, monkeypatch):
     assert rc == EXIT_CHECK and "FAIL" in out
 
 
+def test_self_test_refuses_a_precision_below_8_bits(capsys):
+    """A precision FloatBackend refuses is a validation error, exit 2,
+    before any property runs: no property line is printed."""
+    rc, out, err = run(capsys, "self-test", "--float-bits", "4")
+    assert rc == EXIT_VALIDATION and out == ""
+    assert "validation" in err and "--float-bits 4" in err
+
+
+def test_verify_refuses_fewer_than_one_point(capsys):
+    for points in ("0", "-5"):
+        rc, out, err = run(capsys, "verify", "--walk", "skewed", "--points", points)
+        assert rc == EXIT_VALIDATION and out == ""
+        assert "validation" in err and "--points" in err
+
+
 def test_simulate_json(capsys):
     rc, out, _ = run(capsys, "simulate", "--walk", "diagonal", "--paths", "20000",
                      "--seed", "1", "--check", "tau-mean")

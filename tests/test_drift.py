@@ -5,14 +5,17 @@ from fractions import Fraction
 
 from conewalk import (
     Poly,
+    WalkSpec,
+    construct_harmonic,
     diagonal_walk,
+    format_scalar,
     drift_expansion,
     one_step_residual,
     push_moments,
     simple_walk,
     skewed_walk,
 )
-from conftest import make_moment_table
+from conftest import W_A, make_moment_table, scalar_sum
 
 
 def test_quadratic_reduces_to_half_laplacian():
@@ -42,3 +45,33 @@ def test_drift_lowers_degree_by_two():
     mu = push_moments(skewed_walk(), 6)
     f = Poly({(3, 3): Fraction(1)})
     assert drift_expansion(f, mu).degree() <= 4
+
+
+def reference_residual(h, w, y):
+    """sum_atoms p * h(T(y+dy)) - h(T y), each value a scalar sum."""
+    y1, y2 = y
+    acc = -scalar_sum(h, *w.map_point(y1, y2))
+    for a, b, p in w.atoms:
+        acc = acc + p * scalar_sum(h, *w.map_point(y1 + a, y2 + b))
+    return acc
+
+
+def test_one_step_residual_equals_the_finite_sum():
+    """The integer sum over h's coefficients, the lattice images and the atom
+    probabilities has the scalar finite sum's value, type and field: on Q
+    (skewed), Q(sqrt 2) images (simple), Q(sqrt 3) (diagonal) and, bit for
+    bit, on W_A's float:256 field; for harmonic h, h plus a non-harmonic
+    term, and the zero polynomial."""
+    rng = random.Random(11)
+    for w in (simple_walk(), diagonal_walk(), skewed_walk(), WalkSpec(W_A)):
+        m = w.cone.m
+        h = construct_harmonic(m, push_moments(w, max(m, 2))).h
+        bump = Poly({(2, 1): w.cone.backend.lift(Fraction(3, 7))})
+        for f in (h, h + bump, Poly.zero()):
+            for _ in range(4):
+                y = (rng.randint(1, 60), rng.randint(-5, 60))
+                got, want = one_step_residual(f, w, y), reference_residual(f, w, y)
+                assert type(got) is type(want)
+                assert getattr(got, "_mpf_", got) == getattr(want, "_mpf_", want)
+                assert getattr(got, "d", None) == getattr(want, "d", None)
+                assert format_scalar(got) == format_scalar(want)

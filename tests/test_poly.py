@@ -2,9 +2,12 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conewalk import (
     Poly,
@@ -12,10 +15,13 @@ from conewalk import (
     ValidationError,
     bigfloat,
     boundary_ratio,
+    format_scalar,
     im_power,
     laplacian,
     re_power,
 )
+from conewalk.scalars import exact_poly_sum
+from conftest import scalar_sum
 
 
 def test_ring_ops():
@@ -164,12 +170,109 @@ POINTS = {
 
 @pytest.mark.parametrize("field", FIELDS)
 def test_evaluate_equals_term_by_term_sum(field):
-    """evaluate raises each power once and gives the sum of c * x1**i * x2**j
-    in storage order bit for bit; every exponent occurs in several terms."""
+    """evaluate gives the sum of c * x1**i * x2**j in storage order, bit for
+    bit on floats; every exponent occurs in several terms."""
     p = dense_poly(9, FIELDS[field])
     x1, x2 = POINTS[field]
-    want = 0
-    for (i, j), c in p.terms.items():
-        want = want + c * x1**i * x2**j
+    want = scalar_sum(p, x1, x2)
     got = p.evaluate(x1, x2)
     assert getattr(got, "_mpf_", got) == getattr(want, "_mpf_", want)
+    assert type(got) is type(want)
+
+
+# ---- exact evaluation in integers against the scalar sum (Hypothesis) -----
+
+
+def assert_same_scalar(got, want):
+    """Same value, type, field and printed form."""
+    assert got == want
+    assert type(got) is type(want)
+    assert getattr(got, "d", None) == getattr(want, "d", None)
+    assert format_scalar(got) == format_scalar(want)
+
+
+integers_ = st.one_of(st.integers(-9, 9), st.integers(-(10**60), 10**60))
+rationals_ = st.one_of(
+    integers_, st.builds(Fraction, integers_, st.one_of(st.integers(1, 12), st.integers(1, 10**60)))
+)
+
+
+def field_values(d):
+    """Scalars of one field: ints (d = 0), ints and Fractions (d = 1), or
+    those and QuadElements of Q(sqrt d), rational-valued ones included."""
+    if d == 0:
+        return integers_
+    if d == 1:
+        return rationals_
+    quad = st.builds(QuadElement, rationals_, st.one_of(st.just(0), rationals_), st.just(d))
+    return st.one_of(rationals_, quad)
+
+
+def polys(values):
+    """Up to 8 terms of degree <= 10 in each variable; the empty dict is
+    the zero polynomial."""
+    return st.dictionaries(st.tuples(st.integers(0, 10), st.integers(0, 10)), values, max_size=8).map(Poly)
+
+
+@st.composite
+def poly_and_point(draw, coeff_field, point_field):
+    values = field_values(point_field)
+    return draw(polys(field_values(coeff_field))), draw(values), draw(values)
+
+
+evaluate_settings = settings(max_examples=300, deadline=None)
+
+
+@evaluate_settings
+@given(st.sampled_from([0, 1, 2, 3]).flatmap(lambda d: poly_and_point(d, d)))
+def test_exact_evaluation_equals_the_scalar_sum(case):
+    """Integer-only, rational, Q(sqrt 2) and Q(sqrt 3) inputs, with
+    negative and 60-digit coordinates and the zero polynomial: the integer
+    sum has the scalar sum's value, type and field."""
+    p, x1, x2 = case
+    assert exact_poly_sum(p.terms, ((x1, x2),), (1,)) is not None
+    assert_same_scalar(p.evaluate(x1, x2), scalar_sum(p, x1, x2))
+
+
+@evaluate_settings
+@given(st.sampled_from([(2, 3), (3, 2), (1, 3), (2, 1)]).flatmap(lambda f: poly_and_point(*f)))
+def test_evaluation_across_two_fields_equals_the_scalar_sum(case):
+    """Rational-valued QuadElements of one field with values of another give
+    the scalar sum's field, and two irrational fields the same error."""
+    p, x1, x2 = case
+    try:
+        want = scalar_sum(p, x1, x2)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            p.evaluate(x1, x2)
+        return
+    assert_same_scalar(p.evaluate(x1, x2), want)
+
+
+def test_evaluation_across_two_fields_examples():
+    half2, sqrt3 = QuadElement(Fraction(1, 2), 0, 2), QuadElement(0, 1, 3)
+    p = Poly({(2, 0): half2, (0, 1): Fraction(3)})
+    # sqrt(3)**2 is rational, so 1/2 * 3 stays in Q(sqrt 2); sqrt(3)**1 then moves the sum to Q(sqrt 3)
+    assert_same_scalar(p.evaluate(sqrt3, sqrt3), scalar_sum(p, sqrt3, sqrt3))
+    assert p.evaluate(sqrt3, sqrt3).d == 3
+    assert p.evaluate(sqrt3, 1) == QuadElement(Fraction(9, 2), 0, 2) and p.evaluate(sqrt3, 1).d == 2
+    with pytest.raises(ValueError, match=re.escape("cannot mix sqrt(2) and sqrt(3)")):
+        Poly({(1, 0): QuadElement(0, 1, 2)}).evaluate(sqrt3, 1)
+
+
+def test_inexact_arguments_keep_the_scalar_sum_bits():
+    """mpf, Python float, numpy and Poly arguments are summed as before."""
+    fl = bigfloat(256)
+    p = dense_poly(7, FIELDS["Q"], seed=4)
+    pf = p.map_coeffs(fl.lift)
+    x1, x2 = fl.convert(Fraction(-2, 3)), fl.convert(Fraction(7, 5))
+    for poly, a, b in ((pf, x1, x2), (p, x1, x2), (p, 0.3, -1.7), (p, Fraction(1, 3), 2.5)):
+        got, want = poly.evaluate(a, b), scalar_sum(poly, a, b)
+        assert type(got) is type(want) and getattr(got, "_mpf_", got) == getattr(want, "_mpf_", want)
+    pn = p.map_coeffs(float)
+    a, b = np.linspace(-2.0, 2.0, 17), np.linspace(0.5, 3.0, 17)
+    assert pn.evaluate(a, b).tobytes() == scalar_sum(pn, a, b).tobytes()
+    u, v = Poly.x1() + Poly.const(Fraction(1, 2)), Poly.x2() - Poly.x1()
+    assert p.evaluate(u, v) == scalar_sum(p, u, v)
+    # a zero polynomial is the int 0 at any point
+    assert Poly.zero().evaluate(x1, x2) == 0 and type(Poly.zero().evaluate(x1, x2)) is int

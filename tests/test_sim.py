@@ -362,7 +362,14 @@ def test_int64_paths_match_int32_paths():
 def test_sample_exit_peak_bytes_per_path():
     """The traced peak of a tau-mean and exit-position run on 2^18 paths.
     Int64 path arrays with four float64 samples alive at once took 97 bytes
-    per path; int32 arrays with one float sample at a time take 33."""
+    per path; int32 arrays with one float sample at a time take 33.
+
+    This bounds the traced (tracemalloc) peak only, not the resident peak
+    that the benchmark's peak_rss_mb reads.  glibc keeps and fragments
+    freed heap: the million-path diagonal job alone traces a 32.6 MB peak
+    but raises the resident set by 44.5 MB, keeps 19.0 MB resident after
+    it ends, and malloc_trim(0) then frees 10.0 MB (README, "Simulator
+    reproducibility")."""
     walk = diagonal_walk()
 
     def cfg(paths):
