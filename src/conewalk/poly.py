@@ -208,7 +208,8 @@ class Poly:
         (:func:`conewalk.scalars.exact_poly_sum`), giving the value, type
         and field the scalar sum gives.  Any other input (mpf, float, numpy
         arrays, Polys) is summed in storage order as c * x1**i * x2**j,
-        each power of x1 and x2 raised once."""
+        each power of x1 and x2 raised once: the float sums that the
+        digests of tests/test_precision.py pin bit for bit."""
         v = exact_poly_sum(self.terms, ((x1, x2),), (1,))
         if v is not None:
             return v

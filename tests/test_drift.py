@@ -8,8 +8,8 @@ from conewalk import (
     WalkSpec,
     construct_harmonic,
     diagonal_walk,
-    format_scalar,
     drift_expansion,
+    format_scalar,
     one_step_residual,
     push_moments,
     simple_walk,
