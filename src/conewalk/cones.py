@@ -10,15 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AngleNotRepresentable, ValidationError
-from .scalars import (
-    Backend,
-    FloatBackend,
-    QuadElement,
-    QuadraticBackend,
-    RATIONAL,
-    bigfloat,
-    quadratic,
-)
+from .scalars import Backend, RATIONAL, bigfloat, tan_field
 
 #: sentinel slope for alpha = pi/2 (boundary ray is the x2-axis)
 VERTICAL = "vertical"
@@ -26,15 +18,10 @@ VERTICAL = "vertical"
 #: guard band for the float comparison of a degree against pi/alpha
 RESONANCE_GUARD = 1e-9
 
-# exact tan(pi/m) values in the supported fields
-_EXACT_TAN = {
-    1: (RATIONAL, Fraction(0)),
-    4: (RATIONAL, Fraction(1)),
-    3: (quadratic(3), QuadElement(0, 1, 3)),
-    6: (quadratic(3), QuadElement(0, Fraction(1, 3), 3)),
-    8: (quadratic(2), QuadElement(-1, 1, 2)),
-    12: (quadratic(3), QuadElement(2, -1, 3)),
-}
+
+def is_vertical(b) -> bool:
+    """Whether a slope is the VERTICAL sentinel (or a string equal to it)."""
+    return b is VERTICAL or (isinstance(b, str) and b == VERTICAL)
 
 
 @dataclass(frozen=True)
@@ -48,7 +35,7 @@ class ConeSpec:
 
     @property
     def vertical(self) -> bool:
-        return self.b is VERTICAL or (isinstance(self.b, str) and self.b == VERTICAL)
+        return is_vertical(self.b)
 
     def admits(self, n: int) -> bool:
         """Whether a moment of degree n exists in this wedge: n < pi/alpha.
@@ -96,35 +83,24 @@ def make_cone(m: int, backend: Backend | None = None) -> ConeSpec:
         raise ValidationError("m must be >= 1")
     if m == 2:
         return ConeSpec(m=2, b=VERTICAL, backend=backend or RATIONAL, p_alpha=Fraction(2))
-    exact = _EXACT_TAN.get(m)
-    if backend is None:
-        backend = exact[0] if exact else bigfloat()
-    if isinstance(backend, FloatBackend):
+    backend = backend or tan_field(m)
+    try:
         b = backend.tan_pi_over(m)
-    elif exact is None:
-        raise AngleNotRepresentable(f"tan(pi/{m}) is not in a supported exact field")
-    else:
-        try:
-            b = backend.convert(exact[1])
-        except ValueError as e:
-            raise AngleNotRepresentable(f"tan(pi/{m}) not representable in {backend.name}") from e
+    except ValueError as e:
+        raise AngleNotRepresentable(str(e)) from e
     return ConeSpec(m=m, b=b, backend=backend, p_alpha=Fraction(m))
 
 
 def cone_for_table(m: int, backend: Backend) -> ConeSpec:
     """The pi/m wedge a builder runs a moment table over backend in: the
-    slope at the table's precision for a float table, the exact default
-    field otherwise (a rational table mixes with any exact slope), and the
-    float field when the table's quadratic field is not the slope's."""
-    if isinstance(backend, FloatBackend):
-        return make_cone(m, backend)
+    default one (make_cone(m)) when the table's values mix with its slope
+    as they are, as a rational table does with any exact slope, and else
+    the wedge over the table's float field, which is the table's own field
+    when that is a float one."""
     cone = make_cone(m)
-    slope = cone.backend
-    if isinstance(backend, QuadraticBackend) and isinstance(slope, QuadraticBackend) and (
-        backend.d != slope.d
-    ):
-        return make_cone(m, backend.float_field())
-    return cone
+    if backend.mixes_with(cone.backend):
+        return cone
+    return make_cone(m, backend.float_field())
 
 
 def cone_from_slope(b, backend: Backend | None = None) -> ConeSpec:
@@ -138,18 +114,15 @@ def cone_from_slope(b, backend: Backend | None = None) -> ConeSpec:
         b = backend.convert(b)
     except (TypeError, ValueError) as e:
         raise ValidationError(f"slope {b!r} is not in {backend.name}") from e
-    alpha = math.atan(float(b))
-    if alpha <= 0:
-        alpha += math.pi
     field = backend.float_field()
     b_mp = field.convert(b)
-    alpha_mp = field.mp.atan(b_mp)
-    if alpha_mp <= 0:
-        alpha_mp += field.mp.pi
-    p_alpha = field.mp.pi / alpha_mp
-    # an exact pi/m opening: the nearest m, confirmed in the field
-    m = round(math.pi / alpha)
-    if not (1 <= m <= 64 and field.is_zero(b_mp - field.tan_pi_over(m))):
+    alpha = field.mp.atan(b_mp)
+    if alpha <= 0:
+        alpha += field.mp.pi
+    p_alpha = field.mp.pi / alpha
+    # an exact pi/m opening with m <= 64: the nearest m, confirmed in the field
+    m = round(float(p_alpha)) if p_alpha < 64.5 else None
+    if m is not None and not field.is_zero(b_mp - field.tan_pi_over(m)):
         m = None
     return ConeSpec(m=m, b=b, backend=backend, p_alpha=Fraction(m) if m else p_alpha)
 

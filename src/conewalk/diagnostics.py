@@ -18,7 +18,7 @@ from . import linsys
 from .alt import build_harmonic_alt, eliminate_monomial, fourier_profile, particular_solution, polar_mode
 from .cones import ConeSpec, make_cone
 from .drift import drift_expansion, one_step_residual
-from .errors import MomentNotFinite
+from .errors import MomentNotFinite, ValidationError
 from .exits import exit_position_moments, tau_moment_poly
 from .harmonic import construct_harmonic, vanishes_on_boundary
 from .linsys import build_matrix, kernel_dimension, solve_system, solve_system_recursive
@@ -462,7 +462,12 @@ _PROPERTIES = [
 def self_test(seed: int = 0, float_bits: int = 256) -> list[PropertyResult]:
     """Run every property; float-sensitive properties use the given
     precision (criterion: they must still pass at 64 bits with the
-    precision-scaled tolerance)."""
+    precision-scaled tolerance).  A precision no float field takes is a
+    ValidationError, raised before any property runs."""
+    try:
+        bigfloat(float_bits)
+    except ValueError as e:
+        raise ValidationError(f"float_bits {float_bits}: {e}") from None
     results = []
     for name, fn in _PROPERTIES:
         rng = random.Random(seed ^ zlib.crc32(name.encode()))

@@ -28,10 +28,10 @@ from .linsys import build_matrix, solve_system
 from .poly import Poly
 from .walks import MomentTable
 
-def _debug_log():
-    """This module's logger when logging is loaded and debug output is on,
-    else None.  The check loads nothing, so exact work never imports
-    logging."""
+def _debug_log(name: str):
+    """The logger called name when logging is loaded and debug output is
+    on, else None.  The check loads nothing, so neither exact work nor the
+    simulator imports logging."""
     # sys, time and QuadElement are imported where the debug events use
     # them, so the events add nothing to importing this module
     import sys
@@ -39,7 +39,7 @@ def _debug_log():
     logging = sys.modules.get("logging")
     if logging is None:
         return None
-    log = logging.getLogger(__name__)
+    log = logging.getLogger(name)
     return log if log.isEnabledFor(logging.DEBUG) else None
 
 
@@ -68,7 +68,7 @@ def _solve_top_down(h: Poly, f: Poly, cone: ConeSpec, mu: MomentTable, n: int):
     is skipped.  Returns h, its drift and that scale."""
     import time
 
-    log = _debug_log()
+    log = _debug_log(__name__)
     backend = cone.backend
     f = f.map_coeffs(backend.lift)
     mu = mu.to(backend)

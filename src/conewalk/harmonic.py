@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cones import ConeSpec, VERTICAL, cone_for_table
+from .cones import ConeSpec, cone_for_table, is_vertical
 from .drift import drift_expansion
 from .errors import InsufficientMoments, InternalError, ValidationError
 from .exits import _solve_top_down
@@ -129,13 +129,13 @@ def converse_angle_test(n: int, b) -> AngleClassification:
     """
     if n < 2:
         raise ValidationError("degree must be >= 2")
-    if b is VERTICAL or (isinstance(b, str) and b == VERTICAL):
+    if is_vertical(b):
         if n % 2 == 0:
             return AngleClassification(n=n, resonant=True, q=n // 2, kernel_positive=(n == 2))
         return AngleClassification(n=n, resonant=False, q=None, kernel_positive=None)
     if is_mpf(b):  # an mpf slope is classified at the default float precision
         bk = bigfloat()
-        b = bk.adopt(b)
+        b = bk.lift(b)
         resonant = bk.is_zero(im_power(n).evaluate(1, b), abs(b) ** n)
     else:
         resonant = im_power(n).evaluate(1, b) == 0

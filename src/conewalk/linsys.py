@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cones import ConeSpec
-from .errors import InternalError, SingularAngle, ValidationError
-from .poly import Poly, im_power
-from .scalars import FloatBackend
+from .errors import SingularAngle, ValidationError
+from .poly import im_power
 
 
 @dataclass(frozen=True)
@@ -76,24 +75,6 @@ def _prepare(mat: BoundaryMatrix, rhs):
     return [[lift(v) for v in row] for row in mat.rows], [lift(v) for v in rhs]
 
 
-def _pivot_row(a, col, start, backend, scale):
-    """Index of the row to pivot on for this column, or None if the column
-    is (numerically) zero below start."""
-    if isinstance(backend, FloatBackend):
-        best, best_abs = None, None
-        for r in range(start, len(a)):
-            v = abs(a[r][col])
-            if best_abs is None or v > best_abs:
-                best, best_abs = r, v
-        if best is None or backend.is_zero(a[best][col], scale):
-            return None
-        return best
-    for r in range(start, len(a)):
-        if not (a[r][col] == 0):
-            return r
-    return None
-
-
 def _forward_eliminate(a, b, backend, scale):
     """Row-echelon reduction in place; returns the list of pivot columns."""
     m = len(a)
@@ -103,9 +84,10 @@ def _forward_eliminate(a, b, backend, scale):
     for col in range(ncols):
         if row >= m:
             break
-        pr = _pivot_row(a, col, row, backend, scale)
+        pr = backend.pivot([a[r][col] for r in range(row, m)], scale)
         if pr is None:
             continue
+        pr += row
         a[row], a[pr] = a[pr], a[row]
         b[row], b[pr] = b[pr], b[row]
         piv = a[row][col]

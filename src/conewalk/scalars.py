@@ -291,7 +291,7 @@ def _reduced(a: int, b: int, c: int, d: int) -> QuadElement:
     return _make(a, b, c, d)
 
 
-def _exact_field(values):
+def exact_field(values):
     """The field a sum of products of values lands in: 0 when all are int,
     1 when some are Fraction and none QuadElement, d when the QuadElements
     all lie in Q(sqrt(d)).  None when some value is of another type or the
@@ -324,7 +324,7 @@ def exact_poly_sum(terms: dict, points, weights):
     if terms:
         values += terms.values()
         values += [x for point in points for x in point]
-    d = _exact_field(values)
+    d = exact_field(values)
     if d is None:
         return None
     if not terms:
@@ -415,6 +415,29 @@ def format_scalar(v) -> str:
     return str(Fraction(v))
 
 
+#: tan(pi/m) for the m whose value lies in Q or one Q(sqrt(d))
+_TAN_PI_OVER = {1: Fraction(0), 3: QuadElement(0, 1, 3), 4: Fraction(1), 6: QuadElement(0, Fraction(1, 3), 3),
+                8: QuadElement(-1, 1, 2), 12: QuadElement(2, -1, 3)}
+
+
+def tan_field(m: int) -> "Backend":
+    """The smallest field holding tan(pi/m): Q or one Q(sqrt(d)) for the m
+    of _TAN_PI_OVER, float:256 for every other m."""
+    v = _TAN_PI_OVER.get(m)
+    if v is None:
+        return bigfloat()
+    return quadratic(v.d) if type(v) is QuadElement else RATIONAL
+
+
+def roots_field(*rs) -> "Backend":
+    """The smallest field holding sqrt(r) for each nonnegative rational r:
+    Q, one Q(sqrt(d)), or float:256 when the roots need two fields."""
+    ds = {sqrt_fraction(Fraction(r))[1] for r in rs} - {1}
+    if len(ds) > 1:
+        return bigfloat()
+    return quadratic(ds.pop()) if ds else RATIONAL
+
+
 def _values(part):
     """The scalars of a Poly (its coefficients) or of an iterable of scalars."""
     terms = getattr(part, "terms", None)
@@ -424,10 +447,10 @@ def _values(part):
 class Backend:
     """Conversion, zero testing and string round-trips for one scalar field.
 
-    Zero tests, the scale they are relative to and lifting operands into
-    the field differ between exact and float fields, so they live here and
-    callers do not branch on the field's type.  On exact fields they never
-    read a float value."""
+    Zero tests, the scale they are relative to, pivot choice, square roots,
+    tan(pi/m) and lifting operands into the field differ between exact and
+    float fields, so they live here and callers do not branch on the
+    field's type.  On exact fields they never read a float value."""
 
     name = "abstract"
     exact = True
@@ -461,20 +484,47 @@ class Backend:
         iterables of scalars) are relative to; exact fields read no value."""
         return 1
 
+    def pivot(self, column: list, scale=1) -> int | None:
+        """Index of the entry of column to eliminate with (the first nonzero
+        one on exact fields), or None when every entry is zero."""
+        for i, v in enumerate(column):
+            if not (v == 0):
+                return i
+        return None
+
     def lift(self, v):
         """v as an operand of this field's arithmetic.  Exact fields take
         Fraction and QuadElement operands as they are."""
-        return v
-
-    def adopt(self, v):
-        """A value entering from outside the package, with an mpf moved
-        into this field's precision; exact values stay as they are."""
         return v
 
     def lifts_from(self, other: "Backend") -> bool:
         """Whether values of field other need lift() before they mix with
         this field's values."""
         return False
+
+    def mixes_with(self, other: "Backend") -> bool:
+        """Whether this field's values and other's combine as they are: a
+        field with itself, and Q with every exact field."""
+        return self.name == other.name or (
+            self.exact and other.exact and "rational" in (self.name, other.name)
+        )
+
+    def sqrt(self, r):
+        """The square root of a nonnegative rational r (on float fields, of
+        any nonnegative value convert() takes) in this field; ValueError
+        when it does not lie in the field."""
+        s, d = sqrt_fraction(Fraction(r))
+        return self.convert(s if d == 1 else QuadElement(0, s, d))
+
+    def tan_pi_over(self, m: int):
+        """tan(pi/m) in this field; ValueError when it does not lie in it."""
+        v = _TAN_PI_OVER.get(m)
+        if v is None:
+            raise ValueError(f"tan(pi/{m}) is not in a supported exact field")
+        try:
+            return self.convert(v)
+        except ValueError:
+            raise ValueError(f"tan(pi/{m}) not representable in {self.name}") from None
 
     def float_field(self) -> "FloatBackend":
         """The float field that transcendental functions of this field's
@@ -518,15 +568,6 @@ class QuadraticBackend(Backend):
                 raise ValueError(f"cannot convert sqrt({v.d}) element to {self.name}")
             return v
         return QuadElement(Fraction(v), 0, self.d)
-
-    def sqrt_of(self, r: Fraction) -> QuadElement:
-        """Exact square root of a nonnegative rational, if it lies in the field."""
-        s, d = sqrt_fraction(Fraction(r))
-        if d == 1:
-            return QuadElement(s, 0, self.d)
-        if d == self.d:
-            return QuadElement(0, s, self.d)
-        raise ValueError(f"sqrt({r}) not in {self.name}")
 
     def parse(self, s: str):
         m = _QUAD_RE.match(s)
@@ -574,9 +615,7 @@ class FloatBackend(Backend):
         if type(v) is mp.mpf:
             return v
         if isinstance(v, QuadElement):
-            return mp.mpf(v.p.numerator) / v.p.denominator + (
-                mp.mpf(v.q.numerator) / v.q.denominator
-            ) * mp.sqrt(v.d)
+            return self.convert(v.p) + self.convert(v.q) * mp.sqrt(v.d)
         if isinstance(v, Fraction):
             return mp.mpf(v.numerator) / v.denominator
         return mp.mpf(v)
@@ -589,17 +628,28 @@ class FloatBackend(Backend):
         """max(1, largest |value|) over the scalars of parts."""
         return max([1.0] + [abs(float(v)) for part in parts for v in _values(part)])
 
+    def pivot(self, column: list, scale=1) -> int | None:
+        """The entry of largest magnitude (the first of equal ones), or None
+        when it is zero relative to scale."""
+        best = max(range(len(column)), key=lambda i: abs(column[i]), default=None)
+        if best is None or self.is_zero(column[best], scale):
+            return None
+        return best
+
     def lift(self, v):
         return self.convert(v)
-
-    def adopt(self, v):
-        return self.convert(v) if is_mpf(v) else v
 
     def lifts_from(self, other: Backend) -> bool:
         return other.name != self.name
 
     def float_field(self) -> "FloatBackend":
         return self
+
+    def sqrt(self, r):
+        v = self.convert(r)
+        if v < 0:
+            raise ValueError(f"sqrt of a negative value {v}")
+        return self.mp.sqrt(v)
 
     def tan_pi_over(self, m: int):
         return self.mp.tan(self.mp.pi / m)

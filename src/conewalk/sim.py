@@ -33,7 +33,7 @@ from .errors import (
     StartNotInterior,
     ValidationError,
 )
-from .exits import tau_moment_poly
+from .exits import _debug_log, tau_moment_poly
 from .harmonic import construct_harmonic
 from .poly import Poly
 from .walks import WalkSpec, push_moments
@@ -202,11 +202,7 @@ def _simulate_exits(cfg: SimConfig):
     The first block after single steps has k = 2; after a block without an
     exit k doubles, and after an exit at row r it becomes 2*(r+1), capped
     by the steps left and by BLOCK_DRAWS."""
-    # imported here: the simulator's import path does not load logging
-    import logging
-
-    log = logging.getLogger(__name__)
-    debug = log.isEnabledFor(logging.DEBUG)
+    log = _debug_log(__name__)
     dtype = _path_dtype(cfg)
     jumps = _table_sampler(
         cfg.walk.atoms,
@@ -272,7 +268,7 @@ def _simulate_exits(cfg: SimConfig):
         s = _Survivors.join([p for _, p, _ in parked])
         advance(s, 0, cfg.max_steps)
         truncated[record(s, np.ones(s.idx.size, dtype=bool), cfg.max_steps)] = True
-        if debug:
+        if log:
             _log_group(log, parked, sync, tau, truncated, cfg, time.perf_counter() - started)
 
     parked = []

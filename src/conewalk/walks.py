@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .cones import ConeSpec, cone_for_table, cone_from_slope
 from .errors import DegenerateCorrelation, InsufficientMoments, ValidationError
-from .scalars import Backend, QuadElement, RATIONAL, bigfloat, quadratic, sqrt_fraction
+from .scalars import Backend, bigfloat, exact_field, roots_field
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,12 @@ class MomentTable:
             for l in range(self.order + 1 - k):
                 if (k, l) not in self.mu:
                     raise ValidationError(f"moment table missing entry ({k},{l})")
-        # an mpf built in another context computes at this field's precision
-        object.__setattr__(self, "mu", {k: self.backend.adopt(v) for k, v in self.mu.items()})
+        # a float field lifts every entry to its precision; an exact field
+        # takes exact entries (int, Fraction, elements of one Q(sqrt(d))) only
+        mu = {k: self.backend.lift(v) for k, v in self.mu.items()}
+        if self.backend.exact and exact_field(mu.values()) is None:
+            raise ValidationError(f"{self.backend.name} moment table has a non-exact entry")
+        object.__setattr__(self, "mu", mu)
         z, o = self.backend.zero(), self.backend.one()
         fixed = {(0, 0): o, (1, 0): z, (0, 1): z, (2, 0): o, (0, 2): o, (1, 1): z}
         scale = self.backend.scale(self.mu.values())
@@ -134,21 +138,8 @@ def build_transform(w: WalkSpec) -> TransformInfo:
     # T = [[1/s1, -cov/(ey2sq*s1)], [0, 1/s2]] with
     # s1 = sqrt((ey1sq*ey2sq - cov^2)/ey2sq), s2 = sqrt(ey2sq)
     s1sq = (w.ey1sq * w.ey2sq - w.cov * w.cov) / w.ey2sq
-    r1, d1 = sqrt_fraction(s1sq)
-    r2, d2 = sqrt_fraction(w.ey2sq)
-    ds = {d for d in (d1, d2) if d != 1}
-    if not ds:
-        backend: Backend = RATIONAL
-        s1, s2 = r1, r2
-    elif len(ds) == 1:
-        d = ds.pop()
-        backend = quadratic(d)
-        s1, s2 = (QuadElement(0, r, d) if di == d else backend.convert(r)
-                  for r, di in ((r1, d1), (r2, d2)))
-    else:
-        backend = bigfloat()
-        s1 = backend.mp.sqrt(backend.convert(s1sq))
-        s2 = backend.mp.sqrt(backend.convert(w.ey2sq))
+    backend = roots_field(s1sq, w.ey2sq)
+    s1, s2 = backend.sqrt(s1sq), backend.sqrt(w.ey2sq)
     cov, ey2 = backend.lift(w.cov), backend.lift(w.ey2sq)
     rho = w.rho_sign * math.sqrt(float(w.rho_squared))
     # the formula's principal branch, recorded verbatim for comparison
@@ -181,7 +172,7 @@ def cone_for_walk(w: WalkSpec) -> ConeSpec:
     # general angle: slope from tan(alpha) = sqrt(1-rho^2)/(-rho)
     backend = bigfloat()
     r2 = backend.convert(w.rho_squared)
-    b = backend.mp.sqrt(1 - r2) / (-w.rho_sign * backend.mp.sqrt(r2))
+    b = backend.sqrt(1 - r2) / (-w.rho_sign * backend.sqrt(r2))
     return cone_from_slope(b, backend)
 
 

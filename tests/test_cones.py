@@ -131,3 +131,11 @@ def test_float_slope_is_taken_into_the_field():
     assert cone_from_slope(QuadElement(0, 1, 3), quadratic(3)).m == 3
     with pytest.raises(ValidationError):
         cone_from_slope(field.mp.mpf(1.5), RATIONAL)
+
+
+def test_a_tiny_slope_is_a_narrow_wedge():
+    """The opening is computed once, in the slope's float field.  A slope
+    that underflows a 53-bit float gives a wedge of about that opening, not
+    the half-plane that its float64 image 0.0 gave."""
+    cone = cone_from_slope(bigfloat().mp.mpf("1e-400"))
+    assert cone.m is None and cone.p_alpha > 10**400 and cone.admits(10**6)

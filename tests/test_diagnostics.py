@@ -9,8 +9,9 @@ from fractions import Fraction
 import pytest
 
 import conewalk
+import conewalk.diagnostics as diagnostics
 import conewalk.linsys as linsys
-from conewalk import Poly, make_cone, pivot_identity_residual, self_test
+from conewalk import Poly, ValidationError, make_cone, pivot_identity_residual, self_test
 from conewalk.diagnostics import _PROPERTIES
 
 
@@ -21,6 +22,18 @@ def test_self_test_exact_properties_fast():
     assert len(results) >= 20
     failed = [r for r in results if not r.passed]
     assert not failed, failed
+
+
+def test_self_test_refuses_a_precision_below_8_bits(monkeypatch):
+    """A precision no float field takes raises before any property runs,
+    rather than coming back as failed properties."""
+    calls = []
+    monkeypatch.setattr(diagnostics, "_PROPERTIES", [("probe", lambda rng, bits: calls.append(bits))])
+    with pytest.raises(ValidationError, match="float_bits 4"):
+        self_test(float_bits=4)
+    assert calls == []
+    self_test(float_bits=8)
+    assert calls == [8]
 
 
 def test_fault_injection_detected(monkeypatch):

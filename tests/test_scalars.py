@@ -85,12 +85,39 @@ def test_quad_sign_and_order():
     assert QuadElement(1, 1, 2) < Fraction(5, 2)
 
 
-def test_quad_sqrt_of():
+def test_quad_sqrt():
     bk = quadratic(3)
-    v = bk.sqrt_of(Fraction(3, 4))
+    v = bk.sqrt(Fraction(3, 4))
     assert v * v == Fraction(3, 4)
     with pytest.raises(ValueError):
-        bk.sqrt_of(Fraction(2))
+        bk.sqrt(Fraction(2))
+
+
+def test_every_field_answers_sqrt_tan_and_pivot():
+    """Square roots, tan(pi/m) and the pivot rule belong to the field: an
+    exact field gives exact values or raises ValueError, a float field
+    computes at its precision and pivots on the largest magnitude."""
+    assert RATIONAL.sqrt(Fraction(9, 4)) == Fraction(3, 2)
+    assert quadratic(2).sqrt(Fraction(9, 4)) == QuadElement(Fraction(3, 2), 0, 2)
+    assert quadratic(2).sqrt(8) == QuadElement(0, 2, 2)
+    assert RATIONAL.tan_pi_over(4) == 1 and quadratic(2).tan_pi_over(8) == QuadElement(-1, 1, 2)
+    assert quadratic(3).tan_pi_over(12) == QuadElement(2, -1, 3)
+    for fails in (lambda: RATIONAL.sqrt(3), lambda: quadratic(2).sqrt(3), lambda: RATIONAL.tan_pi_over(3),
+                  lambda: quadratic(2).tan_pi_over(6), lambda: quadratic(3).tan_pi_over(5)):
+        with pytest.raises(ValueError):
+            fails()
+    bk = bigfloat(256)
+    assert bk.sqrt(2) == bk.mp.sqrt(2) and bk.sqrt(Fraction(1, 3)) == bk.mp.sqrt(bk.convert(Fraction(1, 3)))
+    assert bk.tan_pi_over(5) == bk.mp.tan(bk.mp.pi / 5)
+    with pytest.raises(ValueError):
+        bk.sqrt(-1)
+    assert RATIONAL.pivot([0, Fraction(0), Fraction(1, 9), 5]) == 2
+    assert quadratic(3).pivot([QuadElement(0, 0, 3), QuadElement(0, 1, 3)]) == 1
+    assert RATIONAL.pivot([0, 0]) is None
+    assert bk.pivot([bk.convert(1), bk.convert(-3), bk.convert(3)]) == 1
+    assert bk.pivot([bk.mp.mpf(2) ** -200, bk.convert(0)]) is None
+    tiny = bk.mp.mpf(2) ** -100
+    assert bk.pivot([tiny]) == 0 and bk.pivot([tiny], scale=2.0**40) is None
 
 
 def test_float_backend_precision():

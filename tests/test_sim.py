@@ -287,11 +287,14 @@ def test_import_leaves_numpy_unloaded():
 
 
 def test_import_leaves_logging_unloaded():
-    """The solver's check for debug output loads nothing."""
+    """The solver's and the simulator's checks for debug output load nothing."""
     code = (
         "import sys, conewalk\n"
         "conewalk.construct_harmonic(6, conewalk.push_moments(conewalk.diagonal_walk(), 6))\n"
         "assert 'logging' not in sys.modules, 'logging loaded by an exact build'\n"
+        "conewalk.sample_exit(conewalk.SimConfig(walk=conewalk.diagonal_walk(), start=(1, 1),\n"
+        "                                        paths=200, seed=1, max_steps=50, checks=('tau-mean',)))\n"
+        "assert 'logging' not in sys.modules, 'logging loaded by sample_exit'\n"
     )
     src = os.path.dirname(os.path.dirname(conewalk.__file__))
     env = dict(os.environ, PYTHONPATH=src)

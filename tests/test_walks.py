@@ -14,6 +14,7 @@ from conewalk import (
     WalkSpec,
     bigfloat,
     check_no_overshoot,
+    construct_harmonic,
     diagonal_walk,
     first_moment_poly,
     push_moments,
@@ -23,7 +24,7 @@ from conewalk import (
     tau_moment_poly,
 )
 from conewalk.cones import VERTICAL, cone_for_table
-from conftest import W_A, W_B, W_C
+from conftest import W_A, W_B, W_C, make_moment_table
 
 
 def test_walk_with_a_large_prime_denominator_builds_fast():
@@ -97,6 +98,35 @@ def test_moment_table_validation():
     # (0,2) left at 0: normalization violated
     with pytest.raises(ValidationError):
         MomentTable(order=2, mu=mu, backend=RATIONAL)
+
+
+def test_float_table_lifts_every_entry():
+    """A float:256 table takes int and Fraction entries as their float:256
+    values, so it builds the same h as the table given converted entries.
+    An int entry used to reach the builder as an int, where an int/int
+    quotient is a 53-bit float; a Fraction entry ended in a TypeError."""
+    bk = bigfloat(256)
+    higher = {(3, 0): 2, (0, 3): -1, (4, 0): 3, (2, 2): 1, (0, 4): 5, (1, 3): Fraction(-2, 3)}
+    mu = make_moment_table(4, higher=higher).mu
+    want = construct_harmonic(4, MomentTable(4, {k: bk.convert(v) for k, v in mu.items()}, bk)).h
+    ints = {k: int(v) if v.denominator == 1 else bk.convert(v) for k, v in mu.items()}
+    for given in (ints, dict(mu)):
+        table = MomentTable(order=4, mu=given, backend=bk)
+        assert all(v.context is bk.mp for v in table.mu.values())
+        assert construct_harmonic(4, table).h == want
+
+
+@pytest.mark.parametrize("entry", [0.1, "mpf"])
+def test_exact_table_refuses_a_non_exact_entry(entry):
+    """A Python float or an mpf in a rational table is a ValidationError; a
+    float entry used to build h with float coefficients and boundary_ok
+    False, an mpf one to end in a TypeError."""
+    mu = dict(make_moment_table(4).mu)
+    mu[(3, 0)] = bigfloat().convert(Fraction(1, 10)) if entry == "mpf" else entry
+    with pytest.raises(ValidationError, match="non-exact entry"):
+        MomentTable(order=4, mu=mu, backend=RATIONAL)
+    mu[(3, 0)] = QuadElement(1, 1, 3)
+    assert MomentTable(order=4, mu=mu, backend=RATIONAL)(3, 0) == QuadElement(1, 1, 3)
 
 
 def test_moment_order_enforced():
