@@ -228,14 +228,14 @@ def cmd_simulate(args) -> int:
 
     w = _walk(args)
     start = tuple(int(v) for v in args.start.split(","))
-    checks = tuple(args.check.split(",")) if args.check else ("tau-mean",)
+    checks = {"checks": tuple(args.check.split(","))} if args.check else {}
     cfg = SimConfig(
         walk=w,
         start=start,
         paths=args.paths,
         seed=args.seed,
         max_steps=args.max_steps,
-        checks=checks,
+        **checks,
     )
     rep = sample_exit(cfg)
     obj = {
@@ -280,6 +280,18 @@ def cmd_self_test(args) -> int:
     return EXIT_OK if all_ok else EXIT_CHECK
 
 
+class _SimulateHelp(argparse.HelpFormatter):
+    """Lists the simulator's checks and their default in the --check help,
+    importing the simulator (and numpy) only when the help is printed."""
+
+    def _get_help_string(self, action):
+        if action.dest != "check":
+            return action.help
+        from .sim import KNOWN_CHECKS, SimConfig
+
+        return f"{action.help}: {', '.join(KNOWN_CHECKS)} (default {','.join(SimConfig.checks)})"
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="conewalk",
@@ -288,8 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--backend", help="rational, quad:d, or float:bits")
+    def common(sp, backend=False):
+        if backend:  # only the commands that read it take it
+            sp.add_argument("--backend", help="rational, quad:d, or float:bits")
         sp.add_argument("--out", help="write output to this file instead of stdout")
         sp.add_argument("--format", choices=("json", "pretty"), default="json")
 
@@ -297,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--moments", help="moment-table JSON file")
     sp.add_argument("--walk", help="built-in walk name or walk JSON file")
-    common(sp)
+    common(sp, backend=True)
     sp.set_defaults(fn=cmd_harmonic)
 
     sp = sub.add_parser("exit-moments", help="exit-time moment polynomial G_k")
@@ -307,14 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--moments")
     sp.add_argument("--walk")
     sp.add_argument("--at", help="evaluate at x1,x2")
-    common(sp)
+    common(sp, backend=True)
     sp.set_defaults(fn=cmd_exit_moments)
 
     sp = sub.add_parser("matrix", help="dump the degree-n boundary system matrix")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--m", type=int)
     sp.add_argument("--b")
-    common(sp)
+    common(sp, backend=True)
     sp.set_defaults(fn=cmd_matrix)
 
     sp = sub.add_parser("transform", help="normalizing transform and wedge of a walk")
@@ -330,13 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(fn=cmd_verify)
 
-    sp = sub.add_parser("simulate", help="Monte Carlo checks against exact targets")
+    sp = sub.add_parser("simulate", help="Monte Carlo checks against exact targets",
+                        formatter_class=_SimulateHelp)
     sp.add_argument("--walk", required=True)
     sp.add_argument("--start", default="1,1")
     sp.add_argument("--paths", type=int, default=100000)
     sp.add_argument("--seed", type=int, default=1)
     sp.add_argument("--max-steps", type=int, default=10_000_000)
-    sp.add_argument("--check", help="comma list: tau-mean,tau-second,exit-position,harmonicity,tail")
+    sp.add_argument("--check", help="comma list of checks")
     common(sp)
     sp.set_defaults(fn=cmd_simulate)
 

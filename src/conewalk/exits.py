@@ -127,7 +127,7 @@ class MomentPolyResult:
 def first_moment_poly(cone: ConeSpec) -> Poly:
     """x2*(b*x1 - x2): the expected exit time as a function of the start."""
     if not cone.admits(2):
-        raise AngleOutOfRange("expected exit time is finite only for opening < pi/2")
+        raise AngleOutOfRange(f"expected exit time infinite (needs 2 < pi/alpha): {cone.refusal(2)}")
     return Poly({(1, 1): cone.b, (0, 2): -cone.backend.one()})
 
 
@@ -182,7 +182,7 @@ def exit_position_moments(cone: ConeSpec, x: tuple) -> ExitPositionMoments:
 
     The coordinate means equal the start coordinates; each second moment is
     the squared coordinate plus the expected exit time, so all four need
-    opening < pi/2, as first_moment_poly does.  Boundary starts use the
+    2 < pi/alpha, as first_moment_poly does.  Boundary starts use the
     exit-at-time-zero convention, where everything reduces to the start
     itself.
     """

@@ -435,7 +435,7 @@ def roots_field(*rs) -> "Backend":
     ds = {sqrt_fraction(Fraction(r))[1] for r in rs} - {1}
     if len(ds) > 1:
         return bigfloat()
-    return quadratic(ds.pop()) if ds else RATIONAL
+    return quadratic(ds.pop(), squarefree=True) if ds else RATIONAL
 
 
 def _values(part):
@@ -512,9 +512,16 @@ class Backend:
     def sqrt(self, r):
         """The square root of a nonnegative rational r (on float fields, of
         any nonnegative value convert() takes) in this field; ValueError
-        when it does not lie in the field."""
-        s, d = sqrt_fraction(Fraction(r))
-        return self.convert(s if d == 1 else QuadElement(0, s, d))
+        when it does not lie in the field.  In an exact field Q(sqrt(d)) it
+        is s or s*sqrt(d) for a rational s, so r or r/d is the square of a
+        rational, which math.isqrt tells without factoring."""
+        r = Fraction(r)
+        for k in (1, getattr(self, "d", 1)):  # Q is Q(sqrt(1)); math.isqrt refuses r < 0
+            q = r / k
+            n, m = math.isqrt(q.numerator), math.isqrt(q.denominator)
+            if n * n == q.numerator and m * m == q.denominator:
+                return self.convert(Fraction(n, m) if k == 1 else QuadElement(0, Fraction(n, m), k))
+        raise ValueError(f"sqrt({r}) is not in {self.name}")
 
     def tan_pi_over(self, m: int):
         """tan(pi/m) in this field; ValueError when it does not lie in it."""
@@ -553,9 +560,10 @@ class RationalBackend(Backend):
 
 
 class QuadraticBackend(Backend):
-    def __init__(self, d: int):
-        _, sf = squarefree_decompose(d)
-        if sf != d or d <= 1:
+    def __init__(self, d: int, squarefree: bool = False):
+        """Q(sqrt(d)); squarefree=True takes d as known square-free and
+        spares factoring it again."""
+        if d <= 1 or not squarefree and squarefree_decompose(d)[1] != d:
             raise ValueError("d must be square-free and > 1")
         self.d = d
         self.name = f"quad:{d}"
@@ -624,9 +632,11 @@ class FloatBackend(Backend):
         s = abs(self.mp.mpf(scale)) if scale else 1
         return abs(v) <= self.tolerance * max(1, s)
 
-    def scale(self, *parts) -> float:
-        """max(1, largest |value|) over the scalars of parts."""
-        return max([1.0] + [abs(float(v)) for part in parts for v in _values(part)])
+    def scale(self, *parts):
+        """max(1, largest |value|) over the scalars of parts: a float, or an
+        mpf when a value is beyond the float range."""
+        s = max([1.0] + [abs(float(v)) for part in parts for v in _values(part)])
+        return s if s < math.inf else max(abs(self.convert(v)) for part in parts for v in _values(part))
 
     def pivot(self, column: list, scale=1) -> int | None:
         """The entry of largest magnitude (the first of equal ones), or None
@@ -681,9 +691,9 @@ RATIONAL = RationalBackend()
 _quad_cache: dict[int, QuadraticBackend] = {}
 
 
-def quadratic(d: int) -> QuadraticBackend:
+def quadratic(d: int, squarefree: bool = False) -> QuadraticBackend:
     if d not in _quad_cache:
-        _quad_cache[d] = QuadraticBackend(d)
+        _quad_cache[d] = QuadraticBackend(d, squarefree)
     return _quad_cache[d]
 
 

@@ -17,13 +17,19 @@ own stream under this rule, so the schedule changes no report.  A draw is
 the stream's raw 64-bit word, and its atom is the one that
 Generator.random's double of that word picks, and the steps read the
 atom's jump off per-bucket tables (see _table_sampler).
+
+The checks are the rows of one table, CHECKS (see _Check), in report
+order.  sample_exit refuses every check the wedge cannot support before it
+steps a path, and steps paths only when some configured row reads them.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,12 +39,10 @@ from .errors import (
     StartNotInterior,
     ValidationError,
 )
-from .exits import _debug_log, tau_moment_poly
+from .exits import _debug_log, exit_position_moments, tau_moment_poly
 from .harmonic import construct_harmonic
 from .poly import Poly
 from .walks import WalkSpec, push_moments
-
-KNOWN_CHECKS = ("tau-mean", "tau-second", "exit-position", "harmonicity", "tail")
 
 #: paths per RNG stream; fixed so chunking never depends on worker count
 CHUNK = 65536
@@ -66,26 +70,6 @@ TAIL_FIT_MIN = 16
 
 #: minimum surviving paths for a dyadic point to be usable
 TAIL_MIN_SURVIVORS = 100
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    walk: WalkSpec
-    start: tuple
-    paths: int
-    seed: int
-    max_steps: int = 10_000_000
-    checks: tuple = ("tau-mean",)
-
-    def __post_init__(self):
-        y1, y2 = self.start
-        if int(y1) != y1 or int(y2) != y2 or y1 < 1 or y2 < 1:
-            raise StartNotInterior(f"start {self.start} must be an interior lattice point")
-        if self.paths < 1 or self.max_steps < 1:
-            raise ValidationError("paths and max_steps must be >= 1")
-        for c in self.checks:
-            if c not in KNOWN_CHECKS:
-                raise ValidationError(f"unknown check {c!r}; known: {KNOWN_CHECKS}")
 
 
 @dataclass(frozen=True)
@@ -408,141 +392,79 @@ def _mean_se(values: np.ndarray):
     return float(mean[0]), se
 
 
-def _zpass(est: float, se: float, target: float):
+def _ztest(name: str, est: float, se: float, target: float, note: str = "", passed=None):
+    """The CheckResult of a z-test of est against target; it passes within
+    3 standard errors unless passed gives the verdict."""
     z = (est - target) / se if se > 0 else (0.0 if est == target else math.inf)
-    return z, abs(z) <= 3.0
+    return CheckResult(name, est, se, target, z, abs(z) <= 3.0 if passed is None else passed, note)
 
 
-def sample_exit(cfg: SimConfig) -> SimReport:
-    """Run the configured checks and compare against the exact targets.
-
-    The expected-exit-time check reports a bracket: the mean over completed
-    paths and the mean with truncated paths counted at the step cap; it
-    passes when the exact value lies within 3 standard errors of the
-    bracket.  Exit-position estimates use completed paths only.
-    """
+def _tau_mean(cfg: SimConfig, exits):
+    """E[tau] against G_1 at the start.  The estimate counts truncated paths
+    at the step cap; the check passes when the target lies within 3
+    standard errors of the bracket between that mean and the mean over
+    completed paths, which is also returned."""
+    tau, _, truncated = exits
     w = cfg.walk
-    cone = w.cone
-    need_sim = any(c in cfg.checks for c in ("tau-mean", "tau-second", "exit-position", "tail"))
-    # the builders' own finiteness rule, asked before paying for the simulation
-    if "tau-mean" in cfg.checks and not cone.admits(2):
-        raise MomentCheckInvalid(f"E[tau] infinite (needs 2 < pi/alpha): {cone.refusal(2)}")
-    if "tau-second" in cfg.checks and not cone.admits(4):
-        raise MomentCheckInvalid(f"E[tau^2] infinite (needs 4 < pi/alpha): {cone.refusal(4)}")
-    if "exit-position" in cfg.checks and not cone.admits(2):
-        raise MomentCheckInvalid("exit-position second moments require opening < pi/2")
-    tau = exit_y = truncated = None
-    if need_sim:
-        tau, exit_y, truncated = _simulate_exits(cfg)
-    results = []
-    bracket = None
-    n_trunc = int(truncated.sum()) if truncated is not None else 0
-
-    if "tau-mean" in cfg.checks:
-        mu = push_moments(w, 2)
-        g1 = tau_moment_poly(1, cone, mu).G
-        target = _pullback_value(g1, w, cfg.start)
-        # every partial sum of integer exit times below 2^53 is exact, so
-        # the mean and std of tau equal those of its float64 copy
-        capped = tau if cfg.paths * cfg.max_steps < 2**53 else tau.astype(np.float64)
-        est_hi, se_hi = _mean_se(capped)
-        done = capped[~truncated] if n_trunc else capped
-        if done.size:
-            est_lo, se_lo = _mean_se(done)
-        else:
-            est_lo, se_lo = 0.0, 0.0
-        del capped, done
-        bracket = (est_lo, est_hi)
-        passed = est_lo - 3 * se_lo <= target <= est_hi + 3 * se_hi
-        z, _ = _zpass(est_hi, se_hi, target)
-        results.append(
-            CheckResult(
-                name="tau-mean",
-                estimate=est_hi,
-                std_error=se_hi,
-                target=target,
-                z=z,
-                passed=passed,
-                note=f"bracket=({est_lo:.6g},{est_hi:.6g}), truncated={n_trunc}",
-            )
-        )
-
-    if "tau-second" in cfg.checks:
-        mu = push_moments(w, 4)
-        g2 = tau_moment_poly(2, cone, mu).G
-        target = _pullback_value(g2, w, cfg.start)
-        est, se = _mean_se(np.square(tau, dtype=np.float64))
-        z, ok = _zpass(est, se, target)
-        results.append(
-            CheckResult(
-                name="tau-second", estimate=est, std_error=se, target=target, z=z, passed=ok
-            )
-        )
-
-    if "exit-position" in cfg.checks:
-        from .exits import exit_position_moments
-
-        ep = exit_position_moments(cone, w.map_point(*cfg.start))
-        tr = w.transform
-        t11, t12, t22 = (float(t) for t in (tr.t11, tr.t12, tr.t22))
-        y0, y1 = exit_y[:, 0], exit_y[:, 1]
-        if n_trunc:  # each column on its own: no (n, 2) copy
-            y0, y1 = y0[~truncated], y1[~truncated]
-
-        def moments(sample):  # then its square, in place: x**2 is np.square(x)
-            return _mean_se(sample), _mean_se(np.square(sample, out=sample))
-
-        # one float sample alive at a time
-        x1 = t11 * y0
-        del y0
-        x1 += t12 * y1
-        mean1, second1 = moments(x1)
-        del x1
-        mean2, second2 = moments(t22 * y1)
-        for name, (est, se), target in (
-            ("exit-mean-x1", mean1, float(ep.mean1)),
-            ("exit-mean-x2", mean2, float(ep.mean2)),
-            ("exit-second-x1", second1, float(ep.second1)),
-            ("exit-second-x2", second2, float(ep.second2)),
-        ):
-            z, ok = _zpass(est, se, target)
-            results.append(
-                CheckResult(
-                    name=name,
-                    estimate=est,
-                    std_error=se,
-                    target=target,
-                    z=z,
-                    passed=ok,
-                    note=f"completed paths only ({y1.size})",
-                )
-            )
-
-    if "harmonicity" in cfg.checks:
-        results.append(_harmonicity_check(cfg))
-
-    if "tail" in cfg.checks:
-        results.append(_tail_check(cfg, tau))
-
-    return SimReport(
-        paths=cfg.paths,
-        seed=cfg.seed,
-        truncated=n_trunc,
-        checks=tuple(results),
-        tau_mean_bracket=bracket,
-    )
+    target = _pullback_value(tau_moment_poly(1, w.cone, push_moments(w, 2)).G, w, cfg.start)
+    # every partial sum of integer exit times below 2^53 is exact, so
+    # the mean and std of tau equal those of its float64 copy
+    capped = tau if cfg.paths * cfg.max_steps < 2**53 else tau.astype(np.float64)
+    est_hi, se_hi = _mean_se(capped)
+    n_trunc = int(truncated.sum())
+    done = capped[~truncated] if n_trunc else capped
+    est_lo, se_lo = _mean_se(done) if done.size else (0.0, 0.0)
+    passed = est_lo - 3 * se_lo <= target <= est_hi + 3 * se_hi
+    note = f"bracket=({est_lo:.6g},{est_hi:.6g}), truncated={n_trunc}"
+    return [_ztest("tau-mean", est_hi, se_hi, target, note, passed)], (est_lo, est_hi)
 
 
-def _harmonicity_check(cfg: SimConfig) -> CheckResult:
+def _tau_second(cfg: SimConfig, exits):
+    """E[tau^2] against G_2 at the start."""
+    w = cfg.walk
+    target = _pullback_value(tau_moment_poly(2, w.cone, push_moments(w, 4)).G, w, cfg.start)
+    est, se = _mean_se(np.square(exits[0], dtype=np.float64))
+    return [_ztest("tau-second", est, se, target)], None
+
+
+def _exit_position(cfg: SimConfig, exits):
+    """Means and second moments of both coordinates of the exit point,
+    mapped into the wedge, over completed paths, against
+    exit_position_moments' closed forms."""
+    _, exit_y, truncated = exits
+    w = cfg.walk
+    ep = exit_position_moments(w.cone, w.map_point(*cfg.start))
+    tr = w.transform
+    t11, t12, t22 = (float(t) for t in (tr.t11, tr.t12, tr.t22))
+    y0, y1 = exit_y[:, 0], exit_y[:, 1]
+    if truncated.any():  # each column on its own: no (n, 2) copy
+        y0, y1 = y0[~truncated], y1[~truncated]
+
+    def moments(sample):  # then its square, in place: x**2 is np.square(x)
+        return _mean_se(sample), _mean_se(np.square(sample, out=sample))
+
+    # one float sample alive at a time
+    x1 = t11 * y0
+    del y0
+    x1 += t12 * y1
+    mean1, second1 = moments(x1)
+    del x1
+    mean2, second2 = moments(t22 * y1)
+    note = f"completed paths only ({y1.size})"
+    names = ("exit-mean-x1", "exit-mean-x2", "exit-second-x1", "exit-second-x2")
+    targets = (ep.mean1, ep.mean2, ep.second1, ep.second2)
+    found = zip(names, (mean1, mean2, second1, second2), targets)
+    return [_ztest(name, est, se, float(t), note) for name, (est, se), t in found], None
+
+
+def _harmonicity(cfg: SimConfig, exits):
     """One-step martingale check: the sample mean of h at the position after
     a single jump (zero on the boundary by construction) against h at the
     start.  The per-atom h values are computed exactly; sampling only
     chooses atoms, so the estimator is a multinomial average of exact
-    numbers."""
+    numbers.  It reads no simulated path."""
     w = cfg.walk
     m = w.cone.m
-    if m is None:
-        raise MomentCheckInvalid("harmonicity check needs an integer-m wedge")
     mu = push_moments(w, max(m, 2))
     h = construct_harmonic(m, mu).h
     target = _pullback_value(h, w, cfg.start)
@@ -560,36 +482,18 @@ def _harmonicity_check(cfg: SimConfig) -> CheckResult:
     n = counts.sum()
     est = float(np.dot(counts, vals) / n)
     var = float(np.dot(counts, (vals - est) ** 2) / max(n - 1, 1))
-    se = math.sqrt(var / n)
-    z, ok = _zpass(est, se, target)
-    return CheckResult(
-        name="harmonicity", estimate=est, std_error=se, target=target, z=z, passed=ok
-    )
+    return [_ztest("harmonicity", est, math.sqrt(var / n), target)], None
 
 
-def _tail_check(cfg: SimConfig, tau: np.ndarray) -> CheckResult:
-    slope, se, npts = _fit_tail(tau, cfg.max_steps)
-    target = -cfg.walk.cone.p_alpha_float() / 2
-    ok = abs(slope - target) <= TAIL_BAND
-    z = (slope - target) / se if se > 0 else 0.0
-    return CheckResult(
-        name="tail",
-        estimate=slope,
-        std_error=se,
-        target=target,
-        z=z,
-        passed=ok,
-        note=f"band +/-{TAIL_BAND}, {npts} dyadic points",
-    )
-
-
-def _fit_tail(tau: np.ndarray, max_steps: int):
+def _tail(cfg: SimConfig, exits):
     """Least-squares slope of log survival probability against log time over
-    dyadic times; truncated paths (tau = cap) legitimately count as
-    survivors at every fitted time below the cap."""
+    dyadic times, within TAIL_BAND of -pi/(2 alpha); truncated paths
+    (tau = cap) legitimately count as survivors at every fitted time below
+    the cap."""
+    tau = exits[0]
     ns = []
     n = TAIL_FIT_MIN
-    while n < max_steps:
+    while n < cfg.max_steps:
         surv = np.count_nonzero(tau > n)
         if surv < TAIL_MIN_SURVIVORS:
             break
@@ -606,5 +510,76 @@ def _fit_tail(tau: np.ndarray, max_steps: int):
     denom = float(np.sum((xs - xs.mean()) ** 2))
     dof = max(len(ns) - 2, 1)
     se = math.sqrt(float(np.sum(resid**2)) / dof / denom) if denom > 0 else 0.0
-    return float(slope), se, len(ns)
+    slope, target = float(slope), -cfg.walk.cone.p_alpha_float() / 2
+    z = (slope - target) / se if se > 0 else 0.0
+    note = f"band +/-{TAIL_BAND}, {len(ns)} dyadic points"
+    return [CheckResult("tail", slope, se, target, z, abs(slope - target) <= TAIL_BAND, note)], None
 
+
+class _Check(NamedTuple):
+    """A row of CHECKS."""
+
+    name: str
+    degree: int | None  # the moment degree that must be finite (n < pi/alpha)
+    integer_m: bool  # needs a wedge of opening pi/m, m an integer
+    steps: bool  # reads the simulated exits
+    run: Callable  # (cfg, exits) -> (CheckResults, tau-mean bracket or None)
+
+    def refusal(self, cone) -> str | None:
+        """Why this check cannot run in cone, or None when it can."""
+        if self.degree is not None and not cone.admits(self.degree):
+            return f"{self.name} needs {self.degree} < pi/alpha: {cone.refusal(self.degree)}"
+        if self.integer_m and cone.m is None:
+            return f"{self.name} needs an opening pi/m, m an integer: pi/alpha = {cone.p_alpha_float()!r}"
+        return None
+
+
+#: every check, in report order.  P(tau > t) ~ t^(-pi/(2 alpha))
+#: (Denisov-Wachtel 2015), so E[tau^k] needs 2k < pi/alpha.
+CHECKS = (
+    _Check("tau-mean", 2, False, True, _tau_mean),
+    _Check("tau-second", 4, False, True, _tau_second),
+    _Check("exit-position", 2, False, True, _exit_position),
+    _Check("harmonicity", None, True, False, _harmonicity),
+    _Check("tail", None, False, True, _tail),
+)
+
+KNOWN_CHECKS = tuple(c.name for c in CHECKS)
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    walk: WalkSpec
+    start: tuple
+    paths: int
+    seed: int
+    max_steps: int = 10_000_000
+    checks: tuple = KNOWN_CHECKS[:1]  # the expected exit time
+
+    def __post_init__(self):
+        y1, y2 = self.start
+        if int(y1) != y1 or int(y2) != y2 or y1 < 1 or y2 < 1:
+            raise StartNotInterior(f"start {self.start} must be an interior lattice point")
+        if self.paths < 1 or self.max_steps < 1:
+            raise ValidationError("paths and max_steps must be >= 1")
+        for c in self.checks:
+            if c not in KNOWN_CHECKS:
+                raise ValidationError(f"unknown check {c!r}; known: {KNOWN_CHECKS}")
+
+
+def sample_exit(cfg: SimConfig) -> SimReport:
+    """Run the configured rows of CHECKS, in their order, against the exact
+    targets.  Every check that the walk's wedge cannot support is refused,
+    all in one MomentCheckInvalid, before any path is stepped."""
+    rows = [c for c in CHECKS if c.name in cfg.checks]
+    refused = [why for why in (c.refusal(cfg.walk.cone) for c in rows) if why]
+    if refused:
+        raise MomentCheckInvalid("; ".join(refused))
+    exits = _simulate_exits(cfg) if any(c.steps for c in rows) else None
+    results, bracket = [], None
+    for c in rows:
+        found, b = c.run(cfg, exits)
+        results += found
+        bracket = bracket or b
+    truncated = 0 if exits is None else int(exits[2].sum())
+    return SimReport(cfg.paths, cfg.seed, truncated, tuple(results), bracket)

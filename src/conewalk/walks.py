@@ -36,10 +36,9 @@ class MomentTable:
         object.__setattr__(self, "mu", mu)
         z, o = self.backend.zero(), self.backend.one()
         fixed = {(0, 0): o, (1, 0): z, (0, 1): z, (2, 0): o, (0, 2): o, (1, 1): z}
-        scale = self.backend.scale(self.mu.values())
         for key, want in fixed.items():
-            got = self.mu[key]
-            if not self.backend.is_zero(got - want, scale):
+            got = self.mu[key]  # to its own magnitude, not the table's largest
+            if not self.backend.is_zero(got - want, self.backend.scale([got])):
                 raise ValidationError(f"moment normalization violated at {key}: {got}")
 
     def __call__(self, k: int, l: int):

@@ -72,6 +72,8 @@ def test_float_scale_is_largest_magnitude_at_least_one():
     assert bk.scale() == 1.0
     assert bk.scale([Fraction(1, 4)]) == 1.0
     assert bk.scale(im_power(5), [Fraction(-30)]) == 30.0  # im_power(5) peaks at 10
+    huge = bk.mp.mpf("-1e400")  # beyond the float64 range, where float() is -inf
+    assert bk.scale([Fraction(1, 4), huge]) == -huge
 
 
 def test_lift_is_identity_on_exact_fields():

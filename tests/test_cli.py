@@ -204,6 +204,27 @@ def test_verify_refuses_fewer_than_one_point(capsys):
         assert "validation" in err and "--points" in err
 
 
+def test_backend_only_where_it_is_read(capsys):
+    """transform, verify, simulate and alt-eliminate read no --backend, so
+    they refuse it (exit 2) instead of ignoring it."""
+    for argv in (("transform", "--walk", "skewed"), ("verify", "--walk", "skewed", "--points", "5"),
+                 ("simulate", "--walk", "diagonal", "--paths", "100"),
+                 ("alt-eliminate", "--j", "1", "--k", "0", "--m", "4")):
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--backend", "float:64"])
+        assert exit_.value.code == EXIT_VALIDATION, argv
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err, argv
+
+
+def test_simulate_help_names_the_simulators_checks(capsys, monkeypatch):
+    from conewalk.sim import KNOWN_CHECKS
+
+    monkeypatch.setenv("COLUMNS", "200")  # no name broken at its hyphen
+    with pytest.raises(SystemExit):
+        main(["simulate", "--help"])
+    assert f"{', '.join(KNOWN_CHECKS)} (default tau-mean)" in capsys.readouterr().out
+
+
 def test_simulate_json(capsys):
     rc, out, _ = run(capsys, "simulate", "--walk", "diagonal", "--paths", "20000",
                      "--seed", "1", "--check", "tau-mean")

@@ -2,6 +2,7 @@
 
 import logging
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from conewalk import (
     Poly,
     QuadElement,
     ValidationError,
+    WalkSpec,
     cone_from_slope,
     construct_harmonic,
     diagonal_walk,
@@ -51,13 +53,19 @@ def test_first_moment_drift_is_minus_one():
 def test_first_moment_rejects_wide_opening():
     """Openings pi/2, pi and 3pi/4 (slope -1): E[tau] is infinite, so neither
     G_1 nor the exit-position moments exist, whichever side of the sloped
-    ray the start lies on."""
-    for cone in (make_cone(2), make_cone(1), cone_from_slope(-1, RATIONAL)):
-        with pytest.raises(AngleOutOfRange):
+    ray the start lies on.  The message gives pi/alpha, also where it is
+    2 + 1.3e-10, an opening below pi/2 that RESONANCE_GUARD refuses."""
+    eps = Fraction(1, 10**10)
+    near, far = Fraction(1, 4) - eps / 4, Fraction(1, 4) + eps / 4
+    w_eps = WalkSpec([(1, 1, near), (-1, -1, near), (1, -1, far), (-1, 1, far)])
+    for cone in (make_cone(2), make_cone(1), cone_from_slope(-1, RATIONAL), w_eps.cone):
+        why = re.escape(cone.refusal(2))
+        with pytest.raises(AngleOutOfRange, match=why):
             first_moment_poly(cone)
         for start in ((-3, 1), (1, 1)):
-            with pytest.raises(AngleOutOfRange):
+            with pytest.raises(AngleOutOfRange, match=why):
                 exit_position_moments(cone, start)
+    assert "pi/alpha = 2 + 1.3e-10" in w_eps.cone.refusal(2)
 
 
 def test_tau_moment_diagonal_frozen():

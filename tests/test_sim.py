@@ -34,7 +34,7 @@ from conewalk.sim import (
     _simulate_exits,
     _table_sampler,
 )
-from conftest import W_A, W_C
+from conftest import W_A, W_B, W_C
 
 
 def _reference_exits(cfg, chunk=CHUNK):
@@ -100,7 +100,9 @@ def test_chunking_invariance():
 
 def test_infinite_moment_guards(monkeypatch):
     """Each guard refuses before any path is stepped, also where pi/alpha
-    is 2 + 1.3e-10: E[tau] ~ 1e10 there, which the builder refuses."""
+    is 2 + 1.3e-10: E[tau] ~ 1e10 there, which the builder refuses.  W_B's
+    opening arccos(1/3) is not pi/m, so it has no h to check; every check
+    refused comes in one message."""
 
     def no_simulation(cfg):
         raise AssertionError("simulated before the finiteness guard")
@@ -110,14 +112,20 @@ def test_infinite_moment_guards(monkeypatch):
     near, far = Fraction(1, 4) - eps / 4, Fraction(1, 4) + eps / 4
     w_eps = WalkSpec([(1, 1, near), (-1, -1, near), (1, -1, far), (-1, 1, far)])
     assert 0 < float(w_eps.cone.p_alpha) - 2 < 1e-9
-    for w, check in (
-        (diagonal_walk(), "tau-second"),  # p_alpha = 3
-        (simple_walk(), "tau-mean"),  # p_alpha = 2: even the mean is infinite
-        (w_eps, "tau-mean"),
-        (w_eps, "exit-position"),
+    for w, checks in (
+        (diagonal_walk(), ("tau-second",)),  # p_alpha = 3
+        (simple_walk(), ("tau-mean",)),  # p_alpha = 2: even the mean is infinite
+        (w_eps, ("tau-mean",)),
+        (w_eps, ("exit-position",)),
+        (WalkSpec(W_B), ("harmonicity", "tail")),  # tail reads simulated paths
     ):
         with pytest.raises(MomentCheckInvalid):
-            sample_exit(SimConfig(walk=w, start=(1, 1), paths=10, seed=0, checks=(check,)))
+            sample_exit(SimConfig(walk=w, start=(1, 1), paths=10, seed=0, checks=checks))
+    with pytest.raises(MomentCheckInvalid) as err:
+        sample_exit(SimConfig(walk=WalkSpec(W_B), start=(1, 1), paths=10, seed=0,
+                              checks=sim.KNOWN_CHECKS))
+    refused = [part.split()[0] for part in str(err.value).split("; ")]
+    assert refused == ["tau-second", "harmonicity"]  # pi/alpha = 2.55
 
 
 def test_near_resonant_refusal_reads_apart_from_resonant():

@@ -1,5 +1,6 @@
 """Walk specifications, normalizing transforms, pushed moment tables."""
 
+import re
 import time
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from conewalk import (
     skewed_walk,
     tau_moment_poly,
 )
+from conewalk import scalars
 from conewalk.cones import VERTICAL, cone_for_table
 from conftest import W_A, W_B, W_C, make_moment_table
 
@@ -37,6 +39,17 @@ def test_walk_with_a_large_prime_denominator_builds_fast():
     w = WalkSpec(atoms)
     assert time.perf_counter() - started < 1.0
     assert w.cone.backend.name == "float:256"  # sqrt(2q) and sqrt(2) do not share a field
+
+
+def test_transform_finds_each_square_free_part_once(monkeypatch):
+    """W_C's transform lies in Q(sqrt d), d an 86-bit square-free integer.
+    Finding the field and then the square roots in it used to factor nine
+    integers, 86-bit ones three times; now each of the four, numerator and
+    denominator of s1^2 and of E[Y2^2], is factored once."""
+    real, calls = scalars.squarefree_decompose, []
+    monkeypatch.setattr(scalars, "squarefree_decompose", lambda n: calls.append(n) or real(n))
+    w = WalkSpec(W_C)
+    assert w.backend.name.startswith("quad:") and len(calls) == 4
 
 
 def test_walk_validation():
@@ -114,6 +127,21 @@ def test_float_table_lifts_every_entry():
         table = MomentTable(order=4, mu=given, backend=bk)
         assert all(v.context is bk.mp for v in table.mu.values())
         assert construct_harmonic(4, table).h == want
+
+
+@pytest.mark.parametrize("big", ["1e40", "1e400"])
+def test_float_table_checks_each_fixed_entry_on_its_own_scale(big):
+    """mu(0,2) = 5 is refused however large another entry is.  The fixed
+    entries used to be tested relative to the largest entry of the table,
+    so an entry of 1e40 let mu(0,2) = 5 through, and one of 1e400, past
+    the float64 range, made that scale inf."""
+    bk = bigfloat(256)
+    mu = {k: bk.convert(v) for k, v in make_moment_table(4).mu.items()}
+    mu[(4, 0)] = bk.mp.mpf(big)
+    assert MomentTable(order=4, mu=mu, backend=bk)(4, 0) == bk.mp.mpf(big)
+    mu[(0, 2)] = bk.convert(5)
+    with pytest.raises(ValidationError, match=re.escape("violated at (0, 2)")):
+        MomentTable(order=4, mu=mu, backend=bk)
 
 
 @pytest.mark.parametrize("entry", [0.1, "mpf"])
