@@ -15,7 +15,6 @@ import logging
 import os
 import random
 import sys
-from fractions import Fraction
 
 from .alt import eliminate_monomial
 from .cones import ConeSpec, cone_for_table, cone_from_slope, make_cone
@@ -87,13 +86,21 @@ def _walk(args) -> WalkSpec | None:
 
 
 def _resolve_moments(args, w: WalkSpec | None, order: int) -> MomentTable:
+    """The table of --moments in the --backend field (Q without one), or the
+    walk's table, converted into the --backend field when one is given."""
+    backend = backend_from_name(args.backend) if args.backend else None
     if args.moments:
-        backend = backend_from_name(args.backend) if args.backend else RATIONAL
-        return moments_from_obj(_load_json(args.moments), backend)
-    if w is not None:
-        mu = push_moments(w, order)
-        return mu.to(backend_from_name(args.backend)) if args.backend else mu
-    raise ValidationError("one of --moments or --walk is required")
+        return moments_from_obj(_load_json(args.moments), backend or RATIONAL)
+    if w is None:
+        raise ValidationError("one of --moments or --walk is required")
+    mu = push_moments(w, order)
+    if backend is None:
+        return mu
+    try:  # Backend.convert refuses an entry the field cannot hold
+        return MomentTable(mu.order, {k: backend.convert(v) for k, v in mu.mu.items()}, backend)
+    except ValueError as e:
+        why = f"walk {args.walk}: its {mu.backend.name} moments are not in {backend.name}: {e}"
+        raise ValidationError(why) from None
 
 
 def _resolve_cone(args, w: WalkSpec | None = None, mu: MomentTable | None = None) -> ConeSpec:
@@ -206,12 +213,11 @@ def cmd_verify(args) -> int:
         raise ValidationError("walk opening is not pi/m; pass --m explicitly")
     mu = push_moments(w, max(m, 2))
     res = construct_harmonic(m, mu)
-    backend = res.cone.backend
     rng = random.Random(args.seed)
-    residuals = [one_step_residual(res.h, w, (rng.randint(1, 50), rng.randint(1, 50)), backend)
+    residuals = [one_step_residual(res.h, w, (rng.randint(1, 50), rng.randint(1, 50)))
                  for _ in range(args.points)]
     worst = max((abs(float(r)) for r in residuals), default=0.0)
-    failures = sum(not backend.is_zero(r) for r in residuals)
+    failures = sum(not res.cone.backend.is_zero(r) for r in residuals)
     obj = {
         "m": m,
         "points": args.points,

@@ -15,20 +15,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linsys
-from .alt import build_harmonic_alt, eliminate_monomial, fourier_profile, particular_solution, polar_mode
-from .cones import ConeSpec, make_cone
+from .alt import build_harmonic_alt, fourier_profile, particular_solution, polar_mode
+from .cones import cone_from_slope, make_cone
 from .drift import drift_expansion, one_step_residual
 from .errors import MomentNotFinite, ValidationError
 from .exits import exit_position_moments, tau_moment_poly
-from .harmonic import construct_harmonic, vanishes_on_boundary
+from .harmonic import construct_harmonic
 from .linsys import build_matrix, kernel_dimension, solve_system, solve_system_recursive
-from .poly import Poly, boundary_ratio, im_power, laplacian, re_power
-from .scalars import (
-    QuadElement,
-    RATIONAL,
-    bigfloat,
-    quadratic,
-)
+from .poly import Poly, boundary_ratio, im_power, laplacian
+from .scalars import RATIONAL, bigfloat, quadratic
 from .sim import SimConfig, sample_exit
 from .walks import MomentTable, WalkSpec, builtin_walks, check_no_overshoot, push_moments
 
@@ -44,17 +39,25 @@ def _rand_fraction(rng, lim=9, den=6) -> Fraction:
     return Fraction(rng.randint(-lim, lim), rng.randint(1, den))
 
 
-def _rand_scalar(rng, backend):
-    f = _rand_fraction(rng)
-    if hasattr(backend, "d"):
-        return QuadElement(f, _rand_fraction(rng), backend.d)
-    return backend.convert(f)
+def _rand_scalar(rng, root=None):
+    """A random rational p, or p + q*root for a random rational q."""
+    p = _rand_fraction(rng)
+    return p if root is None else p + _rand_fraction(rng) * root
+
+
+def _unit_table(order: int, backend, entries=()) -> MomentTable:
+    """The moment table over backend with the normalized moments of order
+    <= 2, the given entries, and every other moment zero."""
+    mu = {(k, l): backend.zero() for k in range(order + 1) for l in range(order + 1 - k)}
+    mu.update({(0, 0): backend.one(), (2, 0): backend.one(), (0, 2): backend.one()})
+    mu.update(entries)
+    return MomentTable(order=order, mu=mu, backend=backend)
 
 
 def prop_scalar_field_axioms(rng, float_bits):
-    for backend in (RATIONAL, quadratic(2), quadratic(3)):
+    for root in (None, quadratic(2).sqrt(2), quadratic(3).sqrt(3)):
         for _ in range(50):
-            a, b, c = (_rand_scalar(rng, backend) for _ in range(3))
+            a, b, c = (_rand_scalar(rng, root) for _ in range(3))
             assert (a + b) + c == a + (b + c)
             assert a * (b + c) == a * b + a * c
             assert (a * b) * c == a * (b * c)
@@ -207,8 +210,6 @@ def prop_kernel_dichotomy(rng, float_bits):
         b = Fraction(rng.randint(2, 40), rng.randint(1, 7))
         if b == 1:
             continue
-        from .cones import cone_from_slope
-
         cone = cone_from_slope(b, RATIONAL)
         n = rng.randint(2, 8)
         dim, _ = kernel_dimension(build_matrix(n, cone))
@@ -231,21 +232,12 @@ def prop_harmonic_end_to_end(rng, float_bits):
 
 def prop_harmonic_moment_linearity(rng, float_bits):
     q3 = quadratic(3)
-
-    def table(vals):
-        mu = {(k, l): q3.zero() for k in range(4) for l in range(4 - k)}
-        mu[(0, 0)] = q3.one()
-        mu[(2, 0)] = q3.one()
-        mu[(0, 2)] = q3.one()
-        mu.update(vals)
-        return MomentTable(order=3, mu=mu, backend=q3)
-
     third = [(3, 0), (2, 1), (1, 2), (0, 3)]
-    base = {key: _rand_scalar(rng, q3) for key in third}
+    base = {key: _rand_scalar(rng, q3.sqrt(3)) for key in third}
     doubled = {key: 2 * base[key] for key in third}
-    c0 = construct_harmonic(3, table({k: q3.zero() for k in third})).correction
-    c1 = construct_harmonic(3, table(base)).correction
-    c2 = construct_harmonic(3, table(doubled)).correction
+    c0 = construct_harmonic(3, _unit_table(3, q3)).correction
+    c1 = construct_harmonic(3, _unit_table(3, q3, base)).correction
+    c2 = construct_harmonic(3, _unit_table(3, q3, doubled)).correction
     assert c0.is_zero()
     assert c2 == c1 + c1, "correction not linear in the third moments"
     return "correction doubles when every third moment doubles (affine with zero offset)"
@@ -288,11 +280,7 @@ def prop_exit_first_moment(rng, float_bits):
     for _ in range(20):
         m = rng.randint(3, 24)
         cone = make_cone(m) if m in (3, 4, 6, 8, 12) else make_cone(m, bk)
-        mu = {(k, l): cone.backend.zero() for k in range(3) for l in range(3 - k)}
-        mu[(0, 0)] = cone.backend.one()
-        mu[(2, 0)] = cone.backend.one()
-        mu[(0, 2)] = cone.backend.one()
-        table = MomentTable(order=2, mu=mu, backend=cone.backend)
+        table = _unit_table(2, cone.backend)
         g1 = tau_moment_poly(1, cone, table).G
         expect = Poly({(1, 1): cone.b, (0, 2): -cone.backend.one()})
         d = g1 - expect
@@ -326,7 +314,7 @@ def prop_exit_pullback(rng, float_bits):
     g1 = tau_moment_poly(1, w.cone, mu).G
     tr = w.transform
     pulled = g1.substitute_linear(tr.t11, tr.t12, w.backend.zero(), tr.t22)
-    assert pulled == Poly({(1, 1): QuadElement(2, 0, 3)}), pulled
+    assert pulled == Poly({(1, 1): 2}), pulled
     ep = exit_position_moments(w.cone, w.map_point(1, 1))
     assert float(ep.second1) == 5.0 and float(ep.second2) == 3.0
     return "expected exit time pulls back to 2*y1*y2; second moments (5, 3) at (1,1)"
@@ -432,30 +420,10 @@ def prop_sim_reproducible(rng, float_bits):
     return "identical config yields a bit-identical report"
 
 
+#: (name, property) for every prop_* function above, in definition order;
+#: prop_exit_pullback is named exit-pullback
 _PROPERTIES = [
-    ("scalar-field-axioms", prop_scalar_field_axioms),
-    ("classical-harmonic", prop_classical_harmonic),
-    ("wedge-ratio-bounds", prop_wedge_ratio_bounds),
-    ("poly-ring", prop_poly_ring),
-    ("walk-normalization", prop_walk_normalization),
-    ("drift-oracle", prop_drift_oracle),
-    ("matrix-action", prop_matrix_action),
-    ("solver-cross-check", prop_solver_cross_check),
-    ("theta-identity", prop_theta_identity),
-    ("kernel-dichotomy", prop_kernel_dichotomy),
-    ("harmonic-end-to-end", prop_harmonic_end_to_end),
-    ("harmonic-moment-linearity", prop_harmonic_moment_linearity),
-    ("harmonic-positivity", prop_harmonic_positivity),
-    ("boundary-divisibility", prop_boundary_divisibility),
-    ("exit-first-moment", prop_exit_first_moment),
-    ("exit-threshold", prop_exit_threshold),
-    ("exit-pullback", prop_exit_pullback),
-    ("walk-first-moment", prop_walk_first_moment),
-    ("alt-laplacian", prop_alt_laplacian),
-    ("alt-oracle", prop_alt_oracle),
-    ("alt-mode-sampling", prop_alt_mode_sampling),
-    ("sim-degenerate", prop_sim_degenerate),
-    ("sim-reproducible", prop_sim_reproducible),
+    (name[5:].replace("_", "-"), fn) for name, fn in globals().items() if name.startswith("prop_")
 ]
 
 

@@ -8,7 +8,7 @@ import math
 
 from .errors import InsufficientMoments
 from .poly import Poly, laplacian
-from .scalars import Backend, exact_poly_sum
+from .scalars import exact_poly_sum, field_of
 from .walks import MomentTable, WalkSpec, _image
 
 
@@ -36,17 +36,18 @@ def drift_expansion(f: Poly, mu: MomentTable) -> Poly:
     return half + rem
 
 
-def one_step_residual(h: Poly, w: WalkSpec, y: tuple[int, int], backend: Backend | None = None):
+def one_step_residual(h: Poly, w: WalkSpec, y: tuple[int, int]):
     """Exact finite sum  sum_atoms p * h(T(y+dy)) - h(T y)  at a quadrant
     lattice point y; zero iff h is one-step harmonic there.  This is the
-    independent oracle for the symbolic expansion.  backend is h's field
-    when it is not the field of the walk's cone (an --m other than the
-    walk's own): the lattice images are lifted into it.
+    independent oracle for the symbolic expansion.  The lattice images are
+    taken in the field of the walk's cone, or in the float field of h's
+    coefficients when h is a float polynomial (scalars.field_of), as it is
+    when h was built for another opening than the walk's own.
 
     On exact fields h's coefficients, the 1 + #atoms images and the atom
     probabilities go into one integer sum (:func:`exact_poly_sum`); on
     float fields the terms are added in the order written above."""
-    backend = backend or w.cone.backend
+    backend = field_of(h.terms.values(), w.cone.backend)
     y1, y2 = y
     points = [_image(w, y, backend)] + [_image(w, (y1 + a, y2 + b), backend) for a, b, _ in w.atoms]
     weights = [-1] + [p for _, _, p in w.atoms]

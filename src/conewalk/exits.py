@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cones import ConeSpec
 from .drift import drift_expansion
@@ -26,14 +25,16 @@ from .errors import (
 )
 from .linsys import build_matrix, solve_system
 from .poly import Poly
+from .scalars import exact_bits
 from .walks import MomentTable
+
 
 def _debug_log(name: str):
     """The logger called name when logging is loaded and debug output is
     on, else None.  The check loads nothing, so neither exact work nor the
     simulator imports logging."""
-    # sys, time and QuadElement are imported where the debug events use
-    # them, so the events add nothing to importing this module
+    # sys and time are imported where the debug events use them, so the
+    # events add nothing to importing this module
     import sys
 
     logging = sys.modules.get("logging")
@@ -43,20 +44,12 @@ def _debug_log(name: str):
     return log if log.isEnabledFor(logging.DEBUG) else None
 
 
-def _coeff_bits(c) -> int:
-    """Bit length of the largest integer in an exact coefficient."""
-    from .scalars import QuadElement
-
-    parts = (c.p, c.q) if isinstance(c, QuadElement) else (Fraction(c),)
-    return max(max(abs(f.numerator).bit_length(), f.denominator.bit_length()) for f in parts)
-
-
 def _log_pass(log, l: int, part: Poly, solved, exact: bool, seconds: float):
     """One debug line per degree pass: the degree, the nonzero rhs terms,
     solved or skipped, the time, and on exact fields the largest
     coefficient of the solved part in bits."""
     what = "skipped" if solved is None else "solved"
-    bits = f", coefficients up to {max(map(_coeff_bits, solved))} bits" if solved and exact else ""
+    bits = f", coefficients up to {max(map(exact_bits, solved))} bits" if solved and exact else ""
     log.debug("degree %d pass: %d nonzero rhs terms, %s in %.3g s%s", l, len(part.terms), what, seconds, bits)
 
 
@@ -70,8 +63,8 @@ def _solve_top_down(h: Poly, f: Poly, cone: ConeSpec, mu: MomentTable, n: int):
 
     log = _debug_log(__name__)
     backend = cone.backend
-    f = f.map_coeffs(backend.lift)
     mu = mu.to(backend)
+    f = f.map_coeffs(backend.lift)
     scale = backend.scale(h, f)
     for l in range(n, 1, -1):
         started = time.perf_counter()

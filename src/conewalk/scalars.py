@@ -395,6 +395,21 @@ def is_mpf(v) -> bool:
     return mp_python is not None and isinstance(v, mp_python._mpf)
 
 
+def field_of(values, default: "Backend") -> "Backend":
+    """The float field of the first mpf among values (the coefficients of a
+    float polynomial), else default."""
+    v = next((v for v in values if is_mpf(v)), None)
+    return default if v is None else bigfloat(v.context.prec)
+
+
+def exact_bits(v) -> int:
+    """Bit length of the largest integer in an exact value: the numerators
+    and denominators of p and q for p + q*sqrt(d), of the value itself for
+    an int or Fraction."""
+    parts = (v.p, v.q) if isinstance(v, QuadElement) else (Fraction(v),)
+    return max(max(abs(f.numerator).bit_length(), f.denominator.bit_length()) for f in parts)
+
+
 _QUAD_RE = re.compile(
     r"^\s*(?P<p>[+-]?\d+(?:/\d+)?)\s*(?P<sq>[+-])\s*(?P<q>\d+(?:/\d+)?)\s*\*\s*sqrt\((?P<d>\d+)\)\s*$"
 )
@@ -496,11 +511,6 @@ class Backend:
         """v as an operand of this field's arithmetic.  Exact fields take
         Fraction and QuadElement operands as they are."""
         return v
-
-    def lifts_from(self, other: "Backend") -> bool:
-        """Whether values of field other need lift() before they mix with
-        this field's values."""
-        return False
 
     def mixes_with(self, other: "Backend") -> bool:
         """Whether this field's values and other's combine as they are: a
@@ -648,9 +658,6 @@ class FloatBackend(Backend):
 
     def lift(self, v):
         return self.convert(v)
-
-    def lifts_from(self, other: Backend) -> bool:
-        return other.name != self.name
 
     def float_field(self) -> "FloatBackend":
         return self

@@ -19,8 +19,9 @@ Generator.random's double of that word picks, and the steps read the
 atom's jump off per-bucket tables (see _table_sampler).
 
 The checks are the rows of one table, CHECKS (see _Check), in report
-order.  sample_exit refuses every check the wedge cannot support before it
-steps a path, and steps paths only when some configured row reads them.
+order.  Before it steps a path, sample_exit refuses every check the wedge
+cannot support and every check no run of the config's size can pass, and
+it steps paths only when some configured row reads them.
 """
 
 from __future__ import annotations
@@ -70,6 +71,10 @@ TAIL_FIT_MIN = 16
 
 #: minimum surviving paths for a dyadic point to be usable
 TAIL_MIN_SURVIVORS = 100
+
+#: what the tail fit needs of a run
+TAIL_RULE = (f"tail needs at least 3 dyadic times from {TAIL_FIT_MIN} steps on, each with at least "
+             f"{TAIL_MIN_SURVIVORS} surviving paths, one of them past 64 steps")
 
 
 @dataclass(frozen=True)
@@ -485,11 +490,21 @@ def _harmonicity(cfg: SimConfig, exits):
     return [_ztest("harmonicity", est, math.sqrt(var / n), target)], None
 
 
+def _tail_refusal(cfg: SimConfig) -> str | None:
+    """Why no run of cfg's size can meet TAIL_RULE, or None.  The fitted
+    times lie below max_steps, so the first one past 64, 128, needs
+    max_steps above 128, and each needs TAIL_MIN_SURVIVORS of the paths."""
+    if cfg.paths < TAIL_MIN_SURVIVORS or cfg.max_steps <= 128:
+        return f"{TAIL_RULE}, which no run of {cfg.paths} paths and max_steps {cfg.max_steps} gives"
+    return None
+
+
 def _tail(cfg: SimConfig, exits):
     """Least-squares slope of log survival probability against log time over
     dyadic times, within TAIL_BAND of -pi/(2 alpha); truncated paths
     (tau = cap) legitimately count as survivors at every fitted time below
-    the cap."""
+    the cap.  The fitted times are those up to the first with fewer than
+    TAIL_MIN_SURVIVORS survivors, and TAIL_RULE says how many it needs."""
     tau = exits[0]
     ns = []
     n = TAIL_FIT_MIN
@@ -499,10 +514,9 @@ def _tail(cfg: SimConfig, exits):
             break
         ns.append((n, surv))
         n *= 2
-    if len(ns) < 3 or not any(n > 64 for n, _ in ns):
-        raise InsufficientSurvivors(
-            f"only {len(ns)} usable dyadic points (need >= 3 reaching past 64 steps)"
-        )
+    if len(ns) < 3 or ns[-1][0] <= 64:
+        found = " ".join(f"{n}:{s}" for n, s in ns) or "none"
+        raise InsufficientSurvivors(f"{TAIL_RULE}; this run has {len(ns)} (time:survivors {found})")
     xs = np.log([n for n, _ in ns])
     ys = np.log([s / tau.size for _, s in ns])
     slope, _intercept = np.polyfit(xs, ys, 1)
@@ -524,6 +538,7 @@ class _Check(NamedTuple):
     integer_m: bool  # needs a wedge of opening pi/m, m an integer
     steps: bool  # reads the simulated exits
     run: Callable  # (cfg, exits) -> (CheckResults, tau-mean bracket or None)
+    short: Callable | None = None  # cfg -> why no run of its size can pass, or None
 
     def refusal(self, cone) -> str | None:
         """Why this check cannot run in cone, or None when it can."""
@@ -541,7 +556,7 @@ CHECKS = (
     _Check("tau-second", 4, False, True, _tau_second),
     _Check("exit-position", 2, False, True, _exit_position),
     _Check("harmonicity", None, True, False, _harmonicity),
-    _Check("tail", None, False, True, _tail),
+    _Check("tail", None, False, True, _tail, _tail_refusal),
 )
 
 KNOWN_CHECKS = tuple(c.name for c in CHECKS)
@@ -560,8 +575,10 @@ class SimConfig:
         y1, y2 = self.start
         if int(y1) != y1 or int(y2) != y2 or y1 < 1 or y2 < 1:
             raise StartNotInterior(f"start {self.start} must be an interior lattice point")
-        if self.paths < 1 or self.max_steps < 1:
-            raise ValidationError("paths and max_steps must be >= 1")
+        for name, least in (("paths", 1), ("max_steps", 1), ("seed", 0)):
+            v = getattr(self, name)
+            if not isinstance(v, (int, np.integer)) or v < least:
+                raise ValidationError(f"{name} must be an integer >= {least}, got {v!r}")
         for c in self.checks:
             if c not in KNOWN_CHECKS:
                 raise ValidationError(f"unknown check {c!r}; known: {KNOWN_CHECKS}")
@@ -569,12 +586,16 @@ class SimConfig:
 
 def sample_exit(cfg: SimConfig) -> SimReport:
     """Run the configured rows of CHECKS, in their order, against the exact
-    targets.  Every check that the walk's wedge cannot support is refused,
-    all in one MomentCheckInvalid, before any path is stepped."""
+    targets.  Before any path is stepped it refuses every check the walk's
+    wedge cannot support (one MomentCheckInvalid), then every check no run
+    of the config's size can pass (one InsufficientSurvivors)."""
     rows = [c for c in CHECKS if c.name in cfg.checks]
     refused = [why for why in (c.refusal(cfg.walk.cone) for c in rows) if why]
     if refused:
         raise MomentCheckInvalid("; ".join(refused))
+    short = [why for c in rows if c.short and (why := c.short(cfg))]
+    if short:
+        raise InsufficientSurvivors("; ".join(short))
     exits = _simulate_exits(cfg) if any(c.steps for c in rows) else None
     results, bracket = [], None
     for c in rows:

@@ -47,13 +47,14 @@ class MomentTable:
         return self.mu[(k, l)]
 
     def to(self, backend: Backend) -> "MomentTable":
-        """This table over backend's field; self when its values need no
-        lift there (exact fields mix, and a float field takes its own)."""
-        if not backend.lifts_from(self.backend):
+        """This table as operands of backend's field: self when the fields
+        mix (Backend.mixes_with), lifted to the precision of a float field,
+        and else refused with a ValidationError naming both fields."""
+        if backend.mixes_with(self.backend):
             return self
-        return MomentTable(
-            order=self.order, mu={k: backend.lift(v) for k, v in self.mu.items()}, backend=backend
-        )
+        if backend.exact:
+            raise ValidationError(f"a {self.backend.name} moment table does not mix with {backend.name}")
+        return MomentTable(self.order, {k: backend.lift(v) for k, v in self.mu.items()}, backend)
 
 
 @dataclass(frozen=True)

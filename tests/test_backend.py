@@ -4,11 +4,13 @@ operand lifting and moment-table conversion."""
 from fractions import Fraction
 
 import mpmath
+import pytest
 
 from conewalk import (
     MomentTable,
     QuadElement,
     RATIONAL,
+    ValidationError,
     bigfloat,
     build_harmonic_alt,
     build_matrix,
@@ -105,6 +107,7 @@ def test_moment_table_to():
     assert mu_f.backend is bk and mu_f.order == mu.order
     assert all(mu_f.mu[k] == bk.convert(v) for k, v in mu.mu.items())
     assert mu_f.to(bigfloat(128)) is mu_f  # same float field: no conversion
-    assert mu_f.to(RATIONAL) is mu_f
+    with pytest.raises(ValidationError):  # a float table does not go back into Q
+        mu_f.to(RATIONAL)
     mu_g = mu_f.to(bigfloat(256))
     assert mu_g is not mu_f and mu_g.backend.name == "float:256"

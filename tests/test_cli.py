@@ -88,6 +88,20 @@ def test_harmonic_across_quadratic_fields(capsys):
         assert rc == EXIT_OK and json.loads(out)["boundary_ok"] is True, cmd
 
 
+def test_backend_converts_the_walk_table_or_refuses_it(capsys):
+    """--backend puts the walk's moments into the named field: the diagonal
+    walk's Q(sqrt 3) moments are not in Q (exit 2), and in Q(sqrt 3) the
+    output is the one without --backend."""
+    argv = ("harmonic", "--m", "6", "--walk", "diagonal")
+    rc, out, err = run(capsys, *argv, "--backend", "rational")
+    assert rc == EXIT_VALIDATION and out == ""
+    assert "validation" in err and "quad:3" in err and "rational" in err
+    rc, want, _ = run(capsys, *argv)
+    assert rc == EXIT_OK
+    rc, out, _ = run(capsys, *argv, "--backend", "quad:3")
+    assert rc == EXIT_OK and out == want
+
+
 def test_m_other_than_the_walk_opening_warns(tmp_path, capsys, caplog):
     from conewalk import push_moments, skewed_walk
     from conewalk.jsonio import moments_to_obj

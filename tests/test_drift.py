@@ -56,6 +56,19 @@ def reference_residual(h, w, y):
     return acc
 
 
+def test_one_step_residual_of_a_float_h_on_an_exact_walk():
+    """The pi/8 h over the diagonal walk's Q(sqrt 3) moments is float:256
+    (tan(pi/8) lies in Q(sqrt 2)); the residual is taken in h's float field,
+    where it vanishes to its tolerance."""
+    w = diagonal_walk()
+    res = construct_harmonic(8, push_moments(w, 8))
+    bk = res.cone.backend
+    assert bk.name == "float:256" and w.cone.backend.exact
+    for y in ((1, 1), (7, 3), (20, 41)):
+        r = one_step_residual(res.h, w, y)
+        assert r.context.prec == 256 and bk.is_zero(r), (y, r)
+
+
 def test_one_step_residual_equals_the_finite_sum():
     """The integer sum over h's coefficients, the lattice images and the atom
     probabilities has the scalar finite sum's value, type and field: on Q

@@ -15,6 +15,7 @@ from conewalk import (
     QuadElement,
     ValidationError,
     WalkSpec,
+    bigfloat,
     cone_from_slope,
     construct_harmonic,
     diagonal_walk,
@@ -113,6 +114,27 @@ def test_poisson_solve_rebuilds_the_harmonic_correction():
         res = construct_harmonic(m, mu)
         f = -drift_expansion(im_power(m), mu)
         assert poisson_solve(f, res.cone, mu, m - 1) == res.correction
+
+
+def test_tables_that_do_not_mix_with_the_cone_are_refused_before_any_work(monkeypatch):
+    """A Q(sqrt 3) table and a float:256 table over the Q(sqrt 2) pi/8
+    cone: tau_moment_poly and poisson_solve raise ValidationError naming
+    both fields before any drift or boundary solve."""
+    import conewalk.exits as exits
+
+    def no_work(*args):
+        raise AssertionError("worked before refusing the table")
+
+    monkeypatch.setattr(exits, "drift_expansion", no_work)
+    monkeypatch.setattr(exits, "solve_system", no_work)
+    cone = make_cone(8)
+    for mu, field in ((push_moments(diagonal_walk(), 4), "quad:3"),
+                      (push_moments(skewed_walk(), 6).to(bigfloat()), "float:256")):
+        for build in (lambda: tau_moment_poly(mu.order // 2, cone, mu),
+                      lambda: poisson_solve(Poly.const(1), cone, mu, mu.order)):
+            with pytest.raises(ValidationError) as err:
+                build()
+            assert field in str(err.value) and "quad:2" in str(err.value)
 
 
 def test_poisson_degree_cap():

@@ -14,6 +14,7 @@ import pytest
 
 import conewalk
 from conewalk import (
+    InsufficientSurvivors,
     MomentCheckInvalid,
     SimConfig,
     StartNotInterior,
@@ -71,6 +72,44 @@ def test_config_validation():
         SimConfig(walk=w, start=(0, 1), paths=10, seed=0)
     with pytest.raises(ValidationError):
         SimConfig(walk=w, start=(1, 1), paths=10, seed=0, checks=("bogus",))
+
+
+def test_config_refuses_what_numpy_would_reject():
+    """paths and max_steps are integers >= 1 and seed an integer >= 0;
+    anything else is refused before numpy sees it."""
+    for bad in ({"paths": 10.5}, {"max_steps": 50.5}, {"seed": -1}, {"seed": 1.5}):
+        kw = {"walk": diagonal_walk(), "start": (1, 1), "paths": 10, "seed": 0, "max_steps": 100, **bad}
+        with pytest.raises(ValidationError, match=next(iter(bad))):
+            SimConfig(**kw)
+
+
+def test_tail_refused_before_stepping_when_no_run_can_meet_its_rule(monkeypatch):
+    """Fewer than TAIL_MIN_SURVIVORS paths, or max_steps <= 128 (no dyadic
+    time past 64), is refused before any path is stepped; 100 paths and
+    129 steps may meet the rule, so that config steps.  A run that steps
+    and misses the rule names the whole rule."""
+    with pytest.raises(InsufficientSurvivors) as err:
+        sample_exit(SimConfig(walk=diagonal_walk(), start=(1, 1), paths=1000, seed=0, max_steps=129,
+                              checks=("tail",)))
+    assert "at least 3 dyadic times from 16 steps on" in str(err.value)
+    assert "past 64 steps; this run has" in str(err.value)
+    stepped = []
+
+    def spy(cfg):
+        stepped.append((cfg.paths, cfg.max_steps))
+        raise AssertionError("simulated")
+
+    monkeypatch.setattr(sim, "_simulate_exits", spy)
+    for paths, max_steps in ((50, 10_000), (99, 10_000), (100_000, 128)):
+        with pytest.raises(InsufficientSurvivors) as err:
+            sample_exit(SimConfig(walk=diagonal_walk(), start=(1, 1), paths=paths, seed=0,
+                                  max_steps=max_steps, checks=("tau-mean", "tail")))
+        assert "at least 100 surviving paths" in str(err.value)
+    assert not stepped
+    with pytest.raises(AssertionError):
+        sample_exit(SimConfig(walk=diagonal_walk(), start=(1, 1), paths=100, seed=0, max_steps=129,
+                              checks=("tail",)))
+    assert stepped == [(100, 129)]
 
 
 def test_degenerate_walk_exits_in_one_step():
