@@ -16,7 +16,6 @@ one-step drift rebuilds the harmonic polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cones import ConeSpec, cone_for_table, make_cone
@@ -28,6 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .poly import Poly, im_power, re_power
+from .records import Record
 from .walks import MomentTable
 
 
@@ -68,8 +68,7 @@ def trig_series(j: int, k: int) -> tuple[list, list]:
     return a, s
 
 
-@dataclass(frozen=True)
-class FourierProfile:
+class FourierProfile(Record):
     """Mode coefficients of a particular solution with monomial Laplacian:
     the degree-(n+2) polynomial is r^(n+2) sum_l (kappa_l cos(l beta) +
     mu_s_l sin(l beta))."""

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
-import random
 import sys
 
 from .alt import eliminate_monomial
@@ -34,14 +32,18 @@ from .linsys import build_matrix
 from .scalars import RATIONAL, backend_from_name, bigfloat, format_scalar
 from .walks import MomentTable, WalkSpec, builtin_walks, check_no_overshoot, push_moments
 
-log = logging.getLogger("conewalk")
-
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CHECK = 3
 
 
-def _setup_logging():
+def _log():
+    """The "conewalk" logger, with logging set up from CONE_LOG (default
+    warn).  logging is imported here, at startup when CONE_LOG is set and
+    else on the first warning or error, so a command that logs nothing
+    never loads it."""
+    import logging
+
     level = {
         "error": logging.ERROR,
         "warn": logging.WARNING,
@@ -49,6 +51,7 @@ def _setup_logging():
         "debug": logging.DEBUG,
     }.get(os.environ.get("CONE_LOG", "warn").lower(), logging.WARNING)
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    return logging.getLogger("conewalk")
 
 
 def _load_json(path: str) -> dict:
@@ -77,11 +80,11 @@ def _walk(args) -> WalkSpec | None:
     w = _load_walk(args.walk)
     m = getattr(args, "m", None)
     if m is not None and w.cone.m != m:
-        log.warning("--m %d: the wedge of walk %s has opening pi/%g, not pi/%d",
-                    m, args.walk, w.cone.p_alpha_float(), m)
+        _log().warning("--m %d: the wedge of walk %s has opening pi/%g, not pi/%d",
+                       m, args.walk, w.cone.p_alpha_float(), m)
     if not check_no_overshoot(w):
-        log.warning("walk %s can jump over the boundary (a step component below -1); "
-                    "the exact results assume it exits onto the boundary", args.walk)
+        _log().warning("walk %s can jump over the boundary (a step component below -1); "
+                       "the exact results assume it exits onto the boundary", args.walk)
     return w
 
 
@@ -150,6 +153,8 @@ def _pretty(obj, indent=0) -> str:
 
 def cmd_harmonic(args) -> int:
     mu = _resolve_moments(args, _walk(args), max(args.m, 2))
+    if args.backend:  # refuse a field that cannot hold tan(pi/m), as exit-moments does
+        make_cone(args.m, mu.backend)
     res = construct_harmonic(args.m, mu)
     obj = {
         "m": res.m,
@@ -205,6 +210,8 @@ def cmd_transform(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import random
+
     if args.points < 1:
         raise ValidationError(f"--points must be at least 1, got {args.points}")
     w = _walk(args)
@@ -376,13 +383,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
+    if "CONE_LOG" in os.environ:  # the solver's and the simulator's debug lines need it loaded
+        _log()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
     except ConewalkError as e:
-        log.error("%s: %s", e.code, e)
+        _log().error("%s: %s", e.code, e)
         print(f"error [{e.code}]: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except ValueError as e:

@@ -6,10 +6,10 @@ exist: a moment of degree n is finite exactly when n < pi/alpha
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AngleNotRepresentable, ValidationError
+from .records import Record
 from .scalars import Backend, RATIONAL, bigfloat, tan_field
 
 #: sentinel slope for alpha = pi/2 (boundary ray is the x2-axis)
@@ -24,8 +24,7 @@ def is_vertical(b) -> bool:
     return b is VERTICAL or (isinstance(b, str) and b == VERTICAL)
 
 
-@dataclass(frozen=True)
-class ConeSpec:
+class ConeSpec(Record):
     """A wedge between the rays x2 = 0 and x2 = b*x1 (b = tan(alpha))."""
 
     m: int | None  # integer mode: alpha = pi/m; None for a general angle

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import random
 import zlib
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linsys
@@ -23,13 +22,13 @@ from .exits import exit_position_moments, tau_moment_poly
 from .harmonic import construct_harmonic
 from .linsys import build_matrix, kernel_dimension, solve_system, solve_system_recursive
 from .poly import Poly, boundary_ratio, im_power, laplacian
+from .records import Record
 from .scalars import RATIONAL, bigfloat, quadratic
 from .sim import SimConfig, sample_exit
 from .walks import MomentTable, WalkSpec, builtin_walks, check_no_overshoot, push_moments
 
 
-@dataclass(frozen=True)
-class PropertyResult:
+class PropertyResult(Record):
     name: str
     passed: bool
     detail: str

@@ -10,7 +10,6 @@ n < pi/alpha.  Every builder here asks it before doing any work.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .cones import ConeSpec
 from .drift import drift_expansion
@@ -25,6 +24,7 @@ from .errors import (
 )
 from .linsys import build_matrix, solve_system
 from .poly import Poly
+from .records import Record
 from .scalars import exact_bits
 from .walks import MomentTable
 
@@ -106,8 +106,7 @@ def poisson_solve(f: Poly, cone: ConeSpec, mu: MomentTable, n: int) -> Poly:
     return _solve_top_down(Poly.zero(), f, cone, mu, n)[0]
 
 
-@dataclass(frozen=True)
-class MomentPolyResult:
+class MomentPolyResult(Record):
     """The degree-2k polynomial giving the k-th exit-time moment, with the
     recursion residual retained as evidence."""
 
@@ -159,8 +158,7 @@ def tau_moment_poly(k: int, cone: ConeSpec, mu: MomentTable) -> MomentPolyResult
     return MomentPolyResult(k=k, cone=cone, G=G, residual=residual)
 
 
-@dataclass(frozen=True)
-class ExitPositionMoments:
+class ExitPositionMoments(Record):
     """Closed-form moments of the exit position from a given start."""
 
     mean1: object

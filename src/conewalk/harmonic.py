@@ -12,19 +12,18 @@ degree-2 pass the drift is identically zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .cones import ConeSpec, cone_for_table, is_vertical
 from .drift import drift_expansion
 from .errors import InsufficientMoments, InternalError, ValidationError
 from .exits import _solve_top_down
 from .poly import Poly, im_power
+from .records import Record
 from .scalars import bigfloat, is_mpf
 from .walks import MomentTable
 
 
-@dataclass(frozen=True)
-class HarmonicResult:
+class HarmonicResult(Record):
     """A built harmonic polynomial and the evidence that it is one."""
 
     m: int
@@ -108,8 +107,7 @@ def check_low_degree_uniqueness(m: int, mu: MomentTable, f: Poly) -> bool:
     return backend.vanishes(f, scale)
 
 
-@dataclass(frozen=True)
-class AngleClassification:
+class AngleClassification(Record):
     """Outcome of the degree-n resonance test for a boundary slope."""
 
     n: int

@@ -15,16 +15,15 @@ paths is a strong internal consistency check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cones import ConeSpec
 from .errors import SingularAngle, ValidationError
 from .poly import im_power
+from .records import Record
 
 
-@dataclass(frozen=True)
-class BoundaryMatrix:
+class BoundaryMatrix(Record):
     """The assembled system for one degree: rows over the cone's scalar field."""
 
     n: int
@@ -155,8 +154,7 @@ def kernel_dimension(mat: BoundaryMatrix) -> tuple[int, list]:
 # ---- structured even/odd solution path --------------------------------
 
 
-@dataclass(frozen=True)
-class OddTriangularization:
+class OddTriangularization(Record):
     """Summary of the odd-index back-substitution: the multipliers folded
     into the boundary row and the single remaining pivot."""
 

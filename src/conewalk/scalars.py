@@ -24,11 +24,6 @@ import math
 import re
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import mpmath
-
 
 #: largest trial divisor of squarefree_decompose: it settles every n whose
 #: part without prime factors below this limit is below the limit cubed

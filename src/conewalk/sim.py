@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -43,6 +42,7 @@ from .errors import (
 from .exits import _debug_log, exit_position_moments, tau_moment_poly
 from .harmonic import construct_harmonic
 from .poly import Poly
+from .records import Record
 from .walks import WalkSpec, push_moments
 
 #: paths per RNG stream; fixed so chunking never depends on worker count
@@ -77,8 +77,7 @@ TAIL_RULE = (f"tail needs at least 3 dyadic times from {TAIL_FIT_MIN} steps on, 
              f"{TAIL_MIN_SURVIVORS} surviving paths, one of them past 64 steps")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     estimate: float
     std_error: float
@@ -88,8 +87,7 @@ class CheckResult:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class SimReport:
+class SimReport(Record):
     paths: int
     seed: int
     truncated: int
@@ -562,8 +560,7 @@ CHECKS = (
 KNOWN_CHECKS = tuple(c.name for c in CHECKS)
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Record):
     walk: WalkSpec
     start: tuple
     paths: int

@@ -5,16 +5,15 @@ moment tables of the transformed step."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cones import ConeSpec, cone_for_table, cone_from_slope
 from .errors import DegenerateCorrelation, InsufficientMoments, ValidationError
+from .records import Record
 from .scalars import Backend, bigfloat, exact_field, roots_field
 
 
-@dataclass(frozen=True)
-class MomentTable:
+class MomentTable(Record):
     """Mixed moments E[X1^k X2^l] for k + l <= order, X the normalized step."""
 
     order: int
@@ -57,8 +56,7 @@ class MomentTable:
         return MomentTable(self.order, {k: backend.lift(v) for k, v in self.mu.items()}, backend)
 
 
-@dataclass(frozen=True)
-class TransformInfo:
+class TransformInfo(Record):
     """The normalizing matrix and both angle conventions."""
 
     t11: object

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -100,6 +101,15 @@ def test_backend_converts_the_walk_table_or_refuses_it(capsys):
     assert rc == EXIT_OK
     rc, out, _ = run(capsys, *argv, "--backend", "quad:3")
     assert rc == EXIT_OK and out == want
+
+
+def test_harmonic_refuses_a_backend_that_cannot_hold_the_slope(capsys):
+    """--backend quad:2 cannot hold tan(pi/3): harmonic refuses it as
+    exit-moments does, instead of building in float:256."""
+    for argv in (("harmonic",), ("exit-moments", "--k", "1")):
+        rc, out, err = run(capsys, *argv, "--m", "3", "--walk", "diagonal", "--backend", "quad:2")
+        assert rc == EXIT_VALIDATION and out == "", argv
+        assert "tan(pi/3) not representable in quad:2" in err, argv
 
 
 def test_m_other_than_the_walk_opening_warns(tmp_path, capsys, caplog):
@@ -317,6 +327,35 @@ def test_exact_work_leaves_mpmath_unloaded():
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cone_log_through_the_entry_point():
+    """In a fresh interpreter, where the CLI imports logging only when it
+    is used: CONE_LOG=debug prints the solver's degree-pass lines on stderr
+    and leaves stdout as it is, and without CONE_LOG a warning and a
+    ConewalkError's error line still print."""
+    src = os.path.dirname(os.path.dirname(conewalk.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "CONE_LOG"}
+    env["PYTHONPATH"] = src
+
+    def cli(*argv, **extra):
+        return subprocess.run([sys.executable, "-m", "conewalk.cli", *argv],
+                              env=dict(env, **extra), capture_output=True, text=True)
+
+    argv = ("harmonic", "--m", "6", "--walk", "diagonal")
+    plain, debug = cli(*argv), cli(*argv, CONE_LOG="debug")
+    assert plain.returncode == debug.returncode == EXIT_OK
+    assert debug.stdout == plain.stdout and "DEBUG" not in plain.stderr
+    passes = re.findall(r"^DEBUG conewalk\.exits: degree (\d+) pass: ", debug.stderr, re.M)
+    assert passes == ["5", "4", "3", "2"]
+    warned = cli("harmonic", "--m", "8", "--walk", "skewed")
+    assert warned.returncode == EXIT_OK
+    assert warned.stderr.startswith("WARNING conewalk: --m 8: ")
+    refused = cli("exit-moments", "--k", "2", "--m", "3", "--walk", "diagonal")
+    assert refused.returncode == EXIT_VALIDATION
+    error, message = refused.stderr.splitlines()
+    assert error.startswith("ERROR conewalk: moment-not-finite: ")
+    assert message.startswith("error [moment-not-finite]: ")
 
 
 def walk_file(directory, atoms):

@@ -321,9 +321,16 @@ def test_joint_tail_more_chunks_than_one_group(monkeypatch):
 
 
 def test_import_leaves_numpy_unloaded():
+    """Importing the package and the CLI adds no heavy module to those a
+    bare interpreter has (site preloads typing on some hosts); numpy loads
+    with the simulator's names."""
+    slow = ("dataclasses", "inspect", "logging", "typing", "numpy", "mpmath")
     code = (
-        "import sys, conewalk, conewalk.cli\n"
-        "assert 'numpy' not in sys.modules, 'numpy loaded by import conewalk'\n"
+        "import sys\n"
+        "bare = set(sys.modules)\n"
+        "import conewalk, conewalk.cli\n"
+        f"added = sorted(set({slow!r}) & set(sys.modules) - bare)\n"
+        "assert not added, f'loaded by import conewalk, conewalk.cli: {added}'\n"
         "from conewalk import SimConfig\n"
         "assert SimConfig.__module__ == 'conewalk.sim' and 'numpy' in sys.modules\n"
     )
