@@ -21,7 +21,7 @@ from .alt import (
     polar_mode,
     trig_series,
 )
-from .cones import ConeSpec, VERTICAL, cone_from_slope, make_cone
+from .cones import ConeSpec, cone_from_slope, make_cone
 from .drift import drift_expansion, one_step_residual
 from .errors import (
     AngleNotRepresentable,

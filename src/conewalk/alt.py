@@ -131,19 +131,17 @@ def harmonic_correction(fp: Poly, m: int, n: int, cone: ConeSpec | None = None) 
         if i + jj != n + 2:
             raise ValidationError("fp must be homogeneous of degree n + 2")
     cone = cone or make_cone(m)
-    if cone.vertical:
-        raise ValidationError("no sloped ray at opening pi/2")
     backend = cone.backend
     reZ, imZ = re_power(n + 2), im_power(n + 2)
     one = backend.one()
     # on the ray x2 = 0: reZ(1,0) = 1, imZ(1,0) = 0, so the cosine-part
     # coefficient is fixed first and the system is triangular
     kap = -fp.evaluate(one, backend.zero())
-    imZ_b = imZ.evaluate(one, cone.b)
-    scale = backend.scale(fp, [imZ_b])
-    if backend.is_zero(imZ_b, scale):
-        raise InternalError(f"sloped-ray value of the degree-{n + 2} imaginary part vanished")
-    mu_c = -(fp.evaluate(one, cone.b) + kap * reZ.evaluate(one, cone.b)) / imZ_b
+    imZ_ray = imZ.evaluate(*cone.ray)
+    scale = backend.scale(fp, [imZ_ray])
+    if backend.is_zero(imZ_ray, scale):
+        raise InternalError(f"second-ray value of the degree-{n + 2} imaginary part vanished")
+    mu_c = -(fp.evaluate(*cone.ray) + kap * reZ.evaluate(*cone.ray)) / imZ_ray
     g = reZ.map_coeffs(lambda c: c * kap) + imZ.map_coeffs(lambda c: c * mu_c)
     return g
 

@@ -1,7 +1,10 @@
-"""Wedge descriptions: opening angle, boundary slope b = tan(alpha), the
-scalar field the slope lives in, and the one rule for which exit moments
-exist: a moment of degree n is finite exactly when n < pi/alpha
-(ConeSpec.admits)."""
+"""Wedge descriptions: the opening alpha; the second boundary ray, as a
+point ray = (c, s) of its line in the wedge's scalar field, (1, tan alpha)
+or (0, 1) at alpha = pi/2 (the first ray is the positive x1-axis); and the
+one rule for which exit moments exist: a moment of degree n is finite
+exactly when n < pi/alpha (ConeSpec.admits).  A homogeneous polynomial
+vanishes on the ray exactly when it vanishes at (c, s), whichever way
+(c, s) points along the line."""
 
 from __future__ import annotations
 
@@ -12,50 +15,47 @@ from .errors import AngleNotRepresentable, ValidationError
 from .records import Record
 from .scalars import Backend, RATIONAL, bigfloat, tan_field
 
-#: sentinel slope for alpha = pi/2 (boundary ray is the x2-axis)
-VERTICAL = "vertical"
-
 #: guard band for the float comparison of a degree against pi/alpha
 RESONANCE_GUARD = 1e-9
 
 
-def is_vertical(b) -> bool:
-    """Whether a slope is the VERTICAL sentinel (or a string equal to it)."""
-    return b is VERTICAL or (isinstance(b, str) and b == VERTICAL)
-
-
 class ConeSpec(Record):
-    """A wedge between the rays x2 = 0 and x2 = b*x1 (b = tan(alpha))."""
+    """A wedge between the positive x1-axis and the ray on the line through
+    ray = (c, s)."""
 
     m: int | None  # integer mode: alpha = pi/m; None for a general angle
-    b: object  # scalar slope, or VERTICAL for alpha = pi/2
+    ray: tuple  # (c, s): the second boundary ray's line, in backend's field
     backend: Backend
-    p_alpha: object  # pi/alpha as Fraction (integer mode) or mpf
+    p_alpha: object  # pi/alpha: Fraction(m) in integer mode, else an mpf
 
     @property
-    def vertical(self) -> bool:
-        return is_vertical(self.b)
+    def b(self):
+        """The second ray's slope s/c = tan(alpha); ValidationError at
+        opening pi/2, whose ray x1 = 0 has no finite slope."""
+        c, s = self.ray
+        if self.backend.is_zero(c):
+            raise ValidationError("the second boundary ray x1 = 0 has no finite slope")
+        return s / c
 
     def admits(self, n: int) -> bool:
         """Whether a moment of degree n exists in this wedge: n < pi/alpha.
         The exit time's tail is P(tau > t) ~ t^(-pi/(2 alpha))
         (Denisov-Wachtel 2015), so E[tau^k] needs 2k < pi/alpha and the
-        exit position's degree-n moments need n < pi/alpha.  Exact for a
-        Fraction p_alpha; a float p_alpha must clear n by RESONANCE_GUARD."""
-        p = self.p_alpha
-        if isinstance(p, Fraction):
-            return n < p
-        return n < float(p) - RESONANCE_GUARD
+        exit position's degree-n moments need n < pi/alpha.  Exact for an
+        opening pi/m; a general pi/alpha must clear n by RESONANCE_GUARD."""
+        if self.m is not None:
+            return n < self.m
+        return n < float(self.p_alpha) - RESONANCE_GUARD
 
     def refusal(self, n: int) -> str:
         """Why admits(n) is False, for an error message: pi/alpha exactly
-        for a Fraction, and a float as its shortest round-trip decimal, or
-        as n plus its offset when it exceeds n by less than
+        for an opening pi/m, and a general one as its shortest round-trip
+        decimal, or as n plus its offset when it exceeds n by less than
         RESONANCE_GUARD, so that a near-resonant wedge does not read as
         resonant."""
         p = self.p_alpha
-        if isinstance(p, Fraction):
-            return f"pi/alpha = {p} <= {n}"
+        if self.m is not None:
+            return f"pi/alpha = {self.m} <= {n}"
         d = float(p - n)
         if d > 0:
             return f"pi/alpha = {n} + {d:.2g} is within the guard band RESONANCE_GUARD = {RESONANCE_GUARD:g} of {n}"
@@ -65,8 +65,6 @@ class ConeSpec(Record):
         return math.pi / float(self.p_alpha)
 
     def b_float(self) -> float:
-        if self.vertical:
-            raise ValidationError("vertical cone has no finite slope")
         return float(self.b)
 
     def p_alpha_float(self) -> float:
@@ -74,20 +72,23 @@ class ConeSpec(Record):
 
 
 def make_cone(m: int, backend: Backend | None = None) -> ConeSpec:
-    """Wedge of opening pi/m.  Default field: rationals for m in {1, 4},
-    quadratic fields for m in {3, 6, 8, 12}, vertical for m = 2, and 256-bit
-    floats otherwise.  An explicit exact backend that cannot represent
-    tan(pi/m) raises AngleNotRepresentable."""
+    """Wedge of opening pi/m, second ray (1, tan(pi/m)), or (0, 1) for
+    m = 2.  Default field: rationals for m in {1, 2, 4}, quadratic fields
+    for m in {3, 6, 8, 12}, and 256-bit floats otherwise.  An explicit
+    exact backend that cannot represent tan(pi/m) raises
+    AngleNotRepresentable."""
     if m < 1:
         raise ValidationError("m must be >= 1")
     if m == 2:
-        return ConeSpec(m=2, b=VERTICAL, backend=backend or RATIONAL, p_alpha=Fraction(2))
-    backend = backend or tan_field(m)
-    try:
-        b = backend.tan_pi_over(m)
-    except ValueError as e:
-        raise AngleNotRepresentable(str(e)) from e
-    return ConeSpec(m=m, b=b, backend=backend, p_alpha=Fraction(m))
+        backend = backend or RATIONAL
+        ray = (backend.zero(), backend.one())
+    else:
+        backend = backend or tan_field(m)
+        try:
+            ray = (backend.one(), backend.tan_pi_over(m))
+        except ValueError as e:
+            raise AngleNotRepresentable(str(e)) from e
+    return ConeSpec(m=m, ray=ray, backend=backend, p_alpha=Fraction(m))
 
 
 def cone_for_table(m: int, backend: Backend) -> ConeSpec:
@@ -103,7 +104,8 @@ def cone_for_table(m: int, backend: Backend) -> ConeSpec:
 
 
 def cone_from_slope(b, backend: Backend | None = None) -> ConeSpec:
-    """General-angle wedge from a slope b = tan(alpha), alpha in (0, pi).
+    """General-angle wedge from a slope b = tan(alpha), alpha in (0, pi):
+    second ray (1, b).
     alpha is the principal angle: atan(b) for b > 0, pi/2 + |atan(b)|-style
     continuation for b < 0.  b is converted into backend's field; the
     opening is pi/m only when b equals tan(pi/m) within the field's
@@ -123,5 +125,5 @@ def cone_from_slope(b, backend: Backend | None = None) -> ConeSpec:
     m = round(float(p_alpha)) if p_alpha < 64.5 else None
     if m is not None and not field.is_zero(b_mp - field.tan_pi_over(m)):
         m = None
-    return ConeSpec(m=m, b=b, backend=backend, p_alpha=Fraction(m) if m else p_alpha)
+    return ConeSpec(m=m, ray=(backend.one(), b), backend=backend, p_alpha=Fraction(m) if m else p_alpha)
 

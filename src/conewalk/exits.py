@@ -117,10 +117,12 @@ class MomentPolyResult(Record):
 
 
 def first_moment_poly(cone: ConeSpec) -> Poly:
-    """x2*(b*x1 - x2): the expected exit time as a function of the start."""
+    """x2*(s*x1 - c*x2), (c, s) = cone.ray: the expected exit time as a
+    function of the start."""
     if not cone.admits(2):
         raise AngleOutOfRange(f"expected exit time infinite (needs 2 < pi/alpha): {cone.refusal(2)}")
-    return Poly({(1, 1): cone.b, (0, 2): -cone.backend.one()})
+    c, s = cone.ray
+    return Poly({(1, 1): s, (0, 2): -c})
 
 
 def tau_moment_poly(k: int, cone: ConeSpec, mu: MomentTable) -> MomentPolyResult:

@@ -11,15 +11,12 @@ degree-2 pass the drift is identically zero.
 
 from __future__ import annotations
 
-import math
-
-from .cones import ConeSpec, cone_for_table, is_vertical
+from .cones import ConeSpec, cone_for_table
 from .drift import drift_expansion
 from .errors import InsufficientMoments, InternalError, ValidationError
 from .exits import _solve_top_down
 from .poly import Poly, im_power
 from .records import Record
-from .scalars import bigfloat, is_mpf
 from .walks import MomentTable
 
 
@@ -43,17 +40,13 @@ class HarmonicResult(Record):
 def vanishes_on_boundary(h: Poly, cone: ConeSpec, scale: float = 1.0) -> bool:
     """True when h is identically zero on both rays of the wedge.  Each
     homogeneous part is checked separately (parts of different degree cannot
-    cancel along a ray)."""
+    cancel along a ray), at the second ray's direction cone.ray."""
     backend = cone.backend
     for (i, j), c in h.terms.items():
         if j == 0 and not backend.is_zero(c, scale):
             return False
     for deg in {i + j for i, j in h.terms}:
-        part = h.homogeneous_part(deg)
-        if cone.vertical:
-            v = backend.lift(part.coeff(0, deg))
-        else:
-            v = part.evaluate(backend.one(), cone.b)
+        v = h.homogeneous_part(deg).evaluate(*cone.ray)
         if not backend.is_zero(v, scale):
             return False
     return True
@@ -108,39 +101,30 @@ def check_low_degree_uniqueness(m: int, mu: MomentTable, f: Poly) -> bool:
 
 
 class AngleClassification(Record):
-    """Outcome of the degree-n resonance test for a boundary slope."""
+    """Outcome of the degree-n resonance test for a wedge."""
 
     n: int
     resonant: bool
-    q: int | None  # slope equals tan(q*pi/n) when resonant
+    q: int | None  # the opening is q*pi/n when resonant
     kernel_positive: bool | None  # kernel spans a positive function iff q = 1
 
     def label(self) -> str:
         return f"resonant q={self.q}" if self.resonant else "nonresonant"
 
 
-def converse_angle_test(n: int, b) -> AngleClassification:
-    """Classify a degree/slope pair: a nonzero degree-n homogeneous
-    polynomial vanishing on both rays exists iff the slope is tan(q*pi/n)
-    for some integer q, in which case the solution space is spanned by
-    Im(x1 + i x2)^n, positive throughout the open wedge exactly when q = 1.
+def converse_angle_test(n: int, cone: ConeSpec) -> AngleClassification:
+    """Classify a degree/wedge pair: a nonzero degree-n homogeneous
+    polynomial vanishing on both rays exists iff the opening is q*pi/n for
+    some integer q, that is iff Im((c + i s)^n) = 0 at the second ray
+    (c, s), tested in the cone's field relative to max(1, |c|, |s|)^n.
+    Then the solution space is spanned by Im(x1 + i x2)^n, positive
+    throughout the open wedge exactly when q = 1.
     """
     if n < 2:
         raise ValidationError("degree must be >= 2")
-    if is_vertical(b):
-        if n % 2 == 0:
-            return AngleClassification(n=n, resonant=True, q=n // 2, kernel_positive=(n == 2))
+    c, s = cone.ray
+    backend = cone.backend
+    if not backend.is_zero(im_power(n).evaluate(c, s), backend.scale([c**n, s**n])):
         return AngleClassification(n=n, resonant=False, q=None, kernel_positive=None)
-    if is_mpf(b):  # an mpf slope is classified at the default float precision
-        bk = bigfloat()
-        b = bk.lift(b)
-        resonant = bk.is_zero(im_power(n).evaluate(1, b), abs(b) ** n)
-    else:
-        resonant = im_power(n).evaluate(1, b) == 0
-    if not resonant:
-        return AngleClassification(n=n, resonant=False, q=None, kernel_positive=None)
-    alpha = math.atan(float(b))
-    if alpha <= 0:
-        alpha += math.pi
-    q = round(n * alpha / math.pi)
+    q = round(n / cone.p_alpha)
     return AngleClassification(n=n, resonant=True, q=q, kernel_positive=(q == 1))

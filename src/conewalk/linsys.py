@@ -4,7 +4,7 @@ homogeneous correction term, and their structure-exploiting solution.
 The unknown is the coefficient vector [a_0 .. a_n] of the homogeneous part
 sum_i a_i x1^(n-i) x2^i.  The first n-1 rows say its Laplacian matches a
 prescribed degree-(n-2) polynomial; the last two rows force the value to
-vanish on both boundary rays of the wedge (x2 = 0 and x2 = b*x1).
+vanish on both boundary rays of the wedge (x2 = 0 and c*x2 = s*x1).
 
 Two solution paths are provided: dense Gaussian elimination, and a
 recursive even/odd split that reduces the whole system to one scalar pivot
@@ -38,9 +38,8 @@ def build_matrix(n: int, cone: ConeSpec) -> BoundaryMatrix:
     of the Laplacian; its two nonzero entries are C(n-i+1, 2) in column i-1
     and C(i+1, 2) in column i+1 (0-based columns).  Row n is (1, 0, ..., 0):
     the value on the ray x2 = 0 is a_0 * x1^n, so vanishing there means
-    a_0 = 0.  Row n+1 evaluates on the sloped ray: (1, b, b^2, ..., b^n),
-    or (0, ..., 0, 1) when the second boundary ray is vertical (opening
-    pi/2).
+    a_0 = 0.  Row n+1 evaluates at the second ray (c, s): its entry i is
+    c^(n-i) s^i, which is b^i for c = 1.
     """
     if n < 2:
         raise ValidationError("boundary systems start at degree 2")
@@ -54,16 +53,12 @@ def build_matrix(n: int, cone: ConeSpec) -> BoundaryMatrix:
         row[i + 1] = backend.convert(math.comb(i + 1, 2))
         rows.append(tuple(row))
     rows.append(tuple([one] + [zero] * n))
-    if cone.vertical:
-        rows.append(tuple([zero] * n + [one]))
-    else:
-        b = cone.b
-        row = [one]
-        acc = one
-        for _ in range(n):
-            acc = acc * b
-            row.append(acc)
-        rows.append(tuple(row))
+    c, s = cone.ray
+    cpow, spow = [one], [one]
+    for _ in range(n):
+        cpow.append(cpow[-1] * c)
+        spow.append(spow[-1] * s)
+    rows.append(tuple(x * y for x, y in zip(reversed(cpow), spow)))
     return BoundaryMatrix(n=n, rows=tuple(rows), cone=cone)
 
 
@@ -184,9 +179,7 @@ def triangularize_odd(n: int, cone: ConeSpec) -> OddTriangularization:
     """
     if n < 3:
         raise ValidationError("odd triangularization needs degree >= 3")
-    if cone.vertical:
-        raise ValidationError("vertical boundary has no sloped row to fold")
-    b = cone.b
+    b = cone.b  # ValidationError at opening pi/2: no sloped row to fold
     n_odd = (n - 1) // 2
     lambdas = []
     lam = -b / Fraction(math.comb(n - 1, 2))
@@ -216,14 +209,13 @@ def solve_system_recursive(mat: BoundaryMatrix, rhs) -> list:
     Even indices follow a two-term recursion seeded by a_0 = 0 (the x2 = 0
     boundary row); odd indices come from folding the interior odd rows into
     the sloped boundary row (see triangularize_odd), solving for the top odd
-    coefficient, and back-substituting.  Requires a non-vertical cone and
+    coefficient, and back-substituting.  Requires a finite slope and
     n >= 3; agreement with solve_system is exercised by the tests.
     """
     n = mat.n
     cone = mat.cone
     backend = cone.backend
-    if cone.vertical:
-        raise ValidationError("recursive path requires a sloped boundary")
+    b = cone.b  # ValidationError at opening pi/2, before any work
     if n < 3:
         raise ValidationError("recursive path needs degree >= 3")
     if len(rhs) != n + 1:
@@ -243,7 +235,6 @@ def solve_system_recursive(mat: BoundaryMatrix, rhs) -> list:
 
     # odd part: fold interior rows into the sloped boundary row
     tri = triangularize_odd(n, cone)
-    b = cone.b
     # boundary residual from the even coefficients: r = -sum_k b^(2k) a_(2k)
     r = backend.zero()
     bpow = backend.one()

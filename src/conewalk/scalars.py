@@ -19,7 +19,6 @@ unpickled, so exact work never loads it.
 from __future__ import annotations
 
 import copyreg
-import functools
 import math
 import re
 import sys
@@ -510,9 +509,7 @@ class Backend:
     def mixes_with(self, other: "Backend") -> bool:
         """Whether this field's values and other's combine as they are: a
         field with itself, and Q with every exact field."""
-        return self.name == other.name or (
-            self.exact and other.exact and "rational" in (self.name, other.name)
-        )
+        return self is other or (self.exact and other.exact and RATIONAL in (self, other))
 
     def sqrt(self, r):
         """The square root of a nonnegative rational r (on float fields, of
@@ -548,6 +545,10 @@ class Backend:
 
     def __repr__(self):
         return f"<backend {self.name}>"
+
+    def __reduce__(self):
+        # one object per field: a pickled field unpickles into it
+        return backend_from_name, (self.name,)
 
 
 class RationalBackend(Backend):
@@ -611,12 +612,14 @@ class FloatBackend(Backend):
             raise ValueError("precision too small")
         self.precision = precision_bits
         self.name = f"float:{precision_bits}"
-        self.mp = _context(precision_bits)
-        self.tolerance = self.mp.mpf(2) ** (-precision_bits // 2)
+        import mpmath  # the first float field loads mpmath
 
-    def __reduce__(self):
-        # the mpmath context in mp does not pickle; the precision rebuilds it
-        return bigfloat, (self.precision,)
+        self.mp = mp = mpmath.MPContext()
+        mp.prec = precision_bits
+        # mp.mpf is a class of its own: a pickled value names the precision
+        # and unpickles into the context of bigfloat(precision_bits)
+        copyreg.pickle(mp.mpf, lambda v: (_unpickle_mpf, (precision_bits, v._mpf_)))
+        self.tolerance = self.mp.mpf(2) ** (-precision_bits // 2)
 
     def workprec(self):
         import mpmath
@@ -670,27 +673,14 @@ class FloatBackend(Backend):
         return self.mp.mpf(s)
 
 
-@functools.cache
-def _context(bits: int) -> mpmath.MPContext:
-    """The mpmath context of the float fields of this precision, made on
-    first use; the first one loads mpmath.  Its mpf type is a class of its
-    own, so a pickled value names the precision and unpickles into this
-    context."""
-    import mpmath
-
-    mp = mpmath.MPContext()
-    mp.prec = bits
-    copyreg.pickle(mp.mpf, lambda v: (_unpickle_mpf, (bits, v._mpf_)))
-    return mp
-
-
 def _unpickle_mpf(bits: int, mpf_tuple):
-    return _context(bits).make_mpf(mpf_tuple)
+    return bigfloat(bits).mp.make_mpf(mpf_tuple)
 
 
 RATIONAL = RationalBackend()
 
 _quad_cache: dict[int, QuadraticBackend] = {}
+_float_cache: dict[int, FloatBackend] = {}
 
 
 def quadratic(d: int, squarefree: bool = False) -> QuadraticBackend:
@@ -700,7 +690,11 @@ def quadratic(d: int, squarefree: bool = False) -> QuadraticBackend:
 
 
 def bigfloat(bits: int = 256) -> FloatBackend:
-    return FloatBackend(bits)
+    """The float field of this precision: one object per precision, as
+    RATIONAL and quadratic(d) are one per field."""
+    if bits not in _float_cache:
+        _float_cache[bits] = FloatBackend(bits)
+    return _float_cache[bits]
 
 
 def backend_from_name(name: str) -> Backend:

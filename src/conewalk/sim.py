@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Callable
-from typing import NamedTuple
 
 import numpy as np
 
@@ -528,15 +526,15 @@ def _tail(cfg: SimConfig, exits):
     return [CheckResult("tail", slope, se, target, z, abs(slope - target) <= TAIL_BAND, note)], None
 
 
-class _Check(NamedTuple):
+class _Check(Record):
     """A row of CHECKS."""
 
     name: str
     degree: int | None  # the moment degree that must be finite (n < pi/alpha)
     integer_m: bool  # needs a wedge of opening pi/m, m an integer
     steps: bool  # reads the simulated exits
-    run: Callable  # (cfg, exits) -> (CheckResults, tau-mean bracket or None)
-    short: Callable | None = None  # cfg -> why no run of its size can pass, or None
+    run: object  # (cfg, exits) -> (CheckResults, tau-mean bracket or None)
+    short: object = None  # cfg -> why no run of its size can pass, or None
 
     def refusal(self, cone) -> str | None:
         """Why this check cannot run in cone, or None when it can."""

@@ -317,7 +317,7 @@ def test_exact_work_leaves_mpmath_unloaded():
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert conewalk.cli.main(argv) == 0, argv\n"
         "    assert 'mpmath' not in sys.modules, f'mpmath loaded by {argv}'\n"
-        "assert conewalk.converse_angle_test(3, conewalk.make_cone(3).b).resonant\n"
+        "assert conewalk.converse_angle_test(3, conewalk.make_cone(3)).resonant\n"
         "assert 'mpmath' not in sys.modules, 'mpmath loaded by an exact slope test'\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert conewalk.cli.main({FLOAT_COMMAND!r}) == 0\n"

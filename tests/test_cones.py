@@ -39,7 +39,12 @@ def test_exact_slopes():
 
 def test_vertical_and_half_plane():
     c2 = make_cone(2)
-    assert c2.vertical and c2.p_alpha == Fraction(2)
+    assert c2.ray == (0, 1) and c2.p_alpha == Fraction(2)
+    # the ray holds the field's own one() and zero(), never Python ints
+    assert [type(v) for v in c2.ray + make_cone(3).ray] == [Fraction] * 2 + [QuadElement] * 2
+    for slope in (lambda: c2.b, c2.b_float):
+        with pytest.raises(ValidationError, match="no finite slope"):
+            slope()
     c1 = make_cone(1)
     assert c1.m == 1 and c1.b == Fraction(0)
 

@@ -11,12 +11,13 @@ from conewalk import (
     Poly,
     QuadElement,
     ValidationError,
-    VERTICAL,
     check_low_degree_uniqueness,
+    cone_from_slope,
     construct_harmonic,
     converse_angle_test,
     drift_expansion,
     im_power,
+    make_cone,
     one_step_residual,
     push_moments,
     simple_walk,
@@ -100,20 +101,36 @@ def test_vanishes_on_boundary():
     cone = construct_harmonic(4, push_moments(skewed_walk(), 4)).cone
     assert vanishes_on_boundary(im_power(4), cone)
     assert not vanishes_on_boundary(Poly({(2, 0): Fraction(1)}), cone)
+    # the pi/2 wedge: evaluated at its ray (0, 1), with no branch of its own
+    quadrant = make_cone(2)
+    assert vanishes_on_boundary(Poly({(1, 1): Fraction(1)}), quadrant)
+    assert not vanishes_on_boundary(Poly({(0, 3): Fraction(1)}), quadrant)
 
 
 def test_converse_angle_classification():
     # b = 1: resonant at every degree n = 4q with tan(q pi / n) = 1
-    cls = converse_angle_test(4, Fraction(1))
+    cone = make_cone(4)
+    cls = converse_angle_test(4, cone)
     assert cls.resonant and cls.q == 1 and cls.kernel_positive
-    cls = converse_angle_test(8, Fraction(1))
+    cls = converse_angle_test(8, cone)
     assert cls.resonant and cls.q == 2 and not cls.kernel_positive
-    cls = converse_angle_test(5, Fraction(1))
+    cls = converse_angle_test(5, cone)
     assert not cls.resonant
-    cls = converse_angle_test(4, VERTICAL)
+    cls = converse_angle_test(4, make_cone(2))
     assert cls.resonant and cls.q == 2
-    cls = converse_angle_test(3, VERTICAL)
+    cls = converse_angle_test(3, make_cone(2))
     assert not cls.resonant
+
+
+def test_the_quadrant_is_resonant_exactly_at_even_degrees():
+    """The pi/2 wedge's ray (0, 1) goes through the generic test: Im(i^n)
+    vanishes exactly for even n, and the opening is then (n/2) pi/n."""
+    cone = make_cone(2)
+    for n in range(2, 10):
+        cls = converse_angle_test(n, cone)
+        assert cls.resonant == (n % 2 == 0), n
+        assert cls.q == (n // 2 if n % 2 == 0 else None), n
+        assert cls.kernel_positive == ((n == 2) if n % 2 == 0 else None), n
 
 
 def test_converse_angle_test_keeps_the_slope_precision():
@@ -126,8 +143,10 @@ def test_converse_angle_test_keeps_the_slope_precision():
     with bk.workprec():
         near = b + mpmath.mpf("1e-12")
     assert mpmath.mp.prec == 53  # classified at the global precision
-    assert converse_angle_test(7, near).label() == "nonresonant"
-    assert converse_angle_test(7, b).label() == "resonant q=1"
+    assert converse_angle_test(7, cone_from_slope(near, bigfloat())).label() == "nonresonant"
+    assert converse_angle_test(7, cone_from_slope(b, bigfloat())).label() == "resonant q=1"
+    # a cone is tested in its own field: a 64-bit tan(pi/3) is resonant there
+    assert converse_angle_test(3, make_cone(3, bigfloat(64))).label() == "resonant q=1"
 
 
 def test_float_backend_build():

@@ -25,7 +25,7 @@ from conewalk import (
 
 
 def rational_cone(b):
-    return ConeSpec(m=None, b=Fraction(b), backend=RATIONAL, p_alpha=Fraction(1))
+    return ConeSpec(m=None, ray=(Fraction(1), Fraction(b)), backend=RATIONAL, p_alpha=Fraction(1))
 
 
 def test_matrix_frozen_n3_b1():
@@ -52,6 +52,16 @@ def test_matrix_frozen_n4_b1():
 def test_matrix_vertical_last_row():
     mat = build_matrix(4, make_cone(2))
     assert list(mat.rows[-1]) == [0, 0, 0, 0, 1]
+
+
+def test_the_quadrant_has_no_sloped_row_to_fold():
+    """The pi/2 wedge's ray (0, 1) has no slope: the even/odd path refuses
+    it before it reads the right-hand side (None here)."""
+    cone = make_cone(2)
+    with pytest.raises(ValidationError, match="no finite slope"):
+        solve_system_recursive(build_matrix(4, cone), None)
+    with pytest.raises(ValidationError, match="no finite slope"):
+        triangularize_odd(5, cone)
 
 
 def test_matrix_rejects_low_degree():

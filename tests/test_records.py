@@ -15,14 +15,14 @@ from conewalk import (
 
 
 def test_record_construction_equality_and_repr():
-    by_position = ConeSpec(4, 1, RATIONAL, 4)
-    by_keyword = ConeSpec(p_alpha=4, backend=RATIONAL, m=4, b=1)
+    by_position = ConeSpec(4, (1, 1), RATIONAL, 4)
+    by_keyword = ConeSpec(p_alpha=4, backend=RATIONAL, m=4, ray=(1, 1))
     assert by_position == by_keyword == make_cone(4)
     assert hash(by_position) == hash(make_cone(4))
-    assert list(vars(by_keyword)) == ["m", "b", "backend", "p_alpha"]
-    assert by_position != ConeSpec(4, 2, RATIONAL, 4) and by_position != (4, 1, RATIONAL, 4)
-    assert repr(make_cone(4)) == ("ConeSpec(m=4, b=Fraction(1, 1), backend=<backend rational>, "
-                                  "p_alpha=Fraction(4, 1))")
+    assert list(vars(by_keyword)) == ["m", "ray", "backend", "p_alpha"]
+    assert by_position != ConeSpec(4, (1, 2), RATIONAL, 4) and by_position != (4, (1, 1), RATIONAL, 4)
+    assert repr(make_cone(4)) == ("ConeSpec(m=4, ray=(Fraction(1, 1), Fraction(1, 1)), "
+                                  "backend=<backend rational>, p_alpha=Fraction(4, 1))")
 
     cfg = SimConfig(diagonal_walk(), (1, 1), 10, 0)
     assert (cfg.max_steps, cfg.checks) == (SimConfig.max_steps, SimConfig.checks) == (10_000_000, ("tau-mean",))
@@ -39,5 +39,5 @@ def test_record_construction_equality_and_repr():
     with pytest.raises(AttributeError):
         by_position.m = 5
     with pytest.raises(AttributeError):
-        del by_position.b
+        del by_position.ray
     assert by_position.m == 4

@@ -17,7 +17,9 @@ from conewalk import (
     backend_from_name,
     bigfloat,
     construct_harmonic,
+    diagonal_walk,
     format_scalar,
+    make_cone,
     push_moments,
     quadratic,
     simple_walk,
@@ -162,6 +164,18 @@ def test_float_values_pickle_into_their_field():
     proc = subprocess.run([sys.executable, "-c", code], input=data, env=env, capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode().strip() == repr(sorted((k, c._mpf_) for k, c in res.h.terms.items()))
+
+
+def test_one_backend_object_per_field():
+    """Each field is one object, so records over it compare equal however
+    often they are built or pickled."""
+    assert bigfloat() is bigfloat(256)
+    assert make_cone(5) == make_cone(5)
+    mu = push_moments(diagonal_walk(), 4)
+    for record in (make_cone(3), make_cone(4), mu, mu.to(bigfloat(256))):
+        assert pickle.loads(pickle.dumps(record)) == record, record
+    for field in (RATIONAL, quadratic(3), bigfloat(256)):
+        assert pickle.loads(pickle.dumps(field)) is field
 
 
 def test_backend_from_name():

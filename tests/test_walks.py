@@ -25,7 +25,7 @@ from conewalk import (
     tau_moment_poly,
 )
 from conewalk import scalars
-from conewalk.cones import VERTICAL, cone_for_table
+from conewalk.cones import cone_for_table
 from conftest import W_A, W_B, W_C, make_moment_table
 
 
@@ -201,10 +201,10 @@ def test_general_angle_slope_at_backend_precision():
 
 
 def test_builtin_walks_keep_their_cones():
-    for w, m, backend, b in ((simple_walk(), 2, RATIONAL, VERTICAL),
-                             (diagonal_walk(), 3, quadratic(3), QuadElement(0, 1, 3)),
-                             (skewed_walk(), 4, RATIONAL, Fraction(1))):
-        assert (w.cone.m, w.cone.backend, w.cone.b) == (m, backend, b)
+    for w, m, backend, ray in ((simple_walk(), 2, RATIONAL, (0, 1)),
+                               (diagonal_walk(), 3, quadratic(3), (1, QuadElement(0, 1, 3))),
+                               (skewed_walk(), 4, RATIONAL, (1, Fraction(1)))):
+        assert (w.cone.m, w.cone.backend, w.cone.ray) == (m, backend, ray)
         assert w.cone == cone_for_table(m, w.backend)
 
 
