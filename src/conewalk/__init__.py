@@ -7,8 +7,10 @@ of opening pi/m, the polynomials giving exact moments of the exit time,
 and an independent trigonometric-series construction of the same objects.
 A Monte Carlo simulator cross-checks every exact quantity.
 
-The simulator and the self-test suite need numpy; they are loaded on first
-use of their names, so the exact machinery imports without it.
+The simulator and the self-test suite are loaded on first use of their
+names, so the exact machinery imports without them.  The simulator loads
+numpy with its first step or draw; configs, reports, the check table and
+every refusal do not need it.
 """
 
 from .alt import (

@@ -295,7 +295,7 @@ def cmd_self_test(args) -> int:
 
 class _SimulateHelp(argparse.HelpFormatter):
     """Lists the simulator's checks and their default in the --check help,
-    importing the simulator (and numpy) only when the help is printed."""
+    importing the simulator only when the help is printed."""
 
     def _get_help_string(self, action):
         if action.dest != "check":

@@ -402,7 +402,7 @@ def prop_sim_degenerate(rng, float_bits):
         [(2, -1, Fraction(1, 3)), (-1, 2, Fraction(1, 3)), (-1, -1, Fraction(1, 3))]
     )
     cfg = SimConfig(walk=w, start=(1, 1), paths=2000, seed=99, max_steps=100, checks=())
-    from .sim import _simulate_exits
+    from ._paths import _simulate_exits
 
     tau, _, truncated = _simulate_exits(cfg)
     assert not truncated.any() and (tau == 1).all()

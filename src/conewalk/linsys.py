@@ -86,7 +86,7 @@ def _forward_eliminate(a, b, backend, scale):
         b[row], b[pr] = b[pr], b[row]
         piv = a[row][col]
         for r in range(row + 1, m):
-            if backend.is_zero(a[r][col], scale):
+            if a[r][col] == 0:  # only an exact zero: a small entry is still a true one
                 continue
             f = a[r][col] / piv
             for c in range(col, ncols):

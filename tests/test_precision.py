@@ -73,3 +73,28 @@ def test_float_results_match_the_recorded_digest():
     integer backend."""
     got = hashlib.sha256(json.dumps(results(), sort_keys=True, default=int).encode()).hexdigest()
     assert got == RESULTS_SHA256
+
+
+def test_float53_elimination_keeps_small_entries():
+    """Float:53 h at m=16 agrees with float:256 within float:53's tolerance.
+    The table is the benchmark's rational_moments(16, Random(16)), built
+    here: orders 0-2 fixed and each higher entry +-n/12, 16 <= n < 32.
+    Elimination that skipped a row by the relative zero test left small
+    true entries below the pivot, and h came out with a relative error of
+    2.9e-7 while boundary_ok still held."""
+    rng = random.Random(16)
+    mu = {(k, l): Fraction(0) for k in range(17) for l in range(17 - k)}
+    mu[(0, 0)] = mu[(2, 0)] = mu[(0, 2)] = Fraction(1)
+    for key in sorted(mu):
+        if sum(key) >= 3:
+            mu[key] = Fraction(rng.choice((-1, 1)) * rng.randrange(16, 32), 12)
+    h = {}
+    for prec in (53, 256):
+        bk = bigfloat(prec)
+        table = MomentTable(order=16, mu={k: bk.convert(v) for k, v in mu.items()}, backend=bk)
+        res = construct_harmonic(16, table)
+        assert res.boundary_ok
+        h[prec] = res.h.terms
+    low, high = h[53], h[256]
+    err = max(abs(low.get(e, 0) - high.get(e, 0)) for e in set(low) | set(high))
+    assert err <= bigfloat(53).tolerance * max(abs(c) for c in high.values())

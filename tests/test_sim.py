@@ -25,8 +25,8 @@ from conewalk import (
     simple_walk,
     skewed_walk,
 )
-from conewalk import sim
-from conewalk.sim import (
+from conewalk import _paths, sim
+from conewalk._paths import (
     BLOCK_SWITCH,
     CHUNK,
     _atom_table,
@@ -77,10 +77,19 @@ def test_config_validation():
 def test_config_refuses_what_numpy_would_reject():
     """paths and max_steps are integers >= 1 and seed an integer >= 0;
     anything else is refused before numpy sees it."""
-    for bad in ({"paths": 10.5}, {"max_steps": 50.5}, {"seed": -1}, {"seed": 1.5}):
+    for bad in ({"paths": 10.5}, {"paths": 1.0}, {"paths": "3"}, {"max_steps": 50.5}, {"seed": -1},
+                {"seed": 1.5}):
         kw = {"walk": diagonal_walk(), "start": (1, 1), "paths": 10, "seed": 0, "max_steps": 100, **bad}
         with pytest.raises(ValidationError, match=next(iter(bad))):
             SimConfig(**kw)
+
+
+def test_config_takes_numpy_integers():
+    """numpy registers its integer types as numbers.Integral, so np.int64
+    paths, seed and max_steps are taken and give the report of ints."""
+    kw = {"walk": diagonal_walk(), "start": (1, 1), "checks": ("tau-mean", "harmonicity")}
+    wide = SimConfig(paths=np.int64(3000), seed=np.int64(2), max_steps=np.int64(500), **kw)
+    assert sample_exit(wide) == sample_exit(SimConfig(paths=3000, seed=2, max_steps=500, **kw))
 
 
 def test_tail_refused_before_stepping_when_no_run_can_meet_its_rule(monkeypatch):
@@ -99,7 +108,7 @@ def test_tail_refused_before_stepping_when_no_run_can_meet_its_rule(monkeypatch)
         stepped.append((cfg.paths, cfg.max_steps))
         raise AssertionError("simulated")
 
-    monkeypatch.setattr(sim, "_simulate_exits", spy)
+    monkeypatch.setattr(_paths, "_simulate_exits", spy)
     for paths, max_steps in ((50, 10_000), (99, 10_000), (100_000, 128)):
         with pytest.raises(InsufficientSurvivors) as err:
             sample_exit(SimConfig(walk=diagonal_walk(), start=(1, 1), paths=paths, seed=0,
@@ -146,7 +155,7 @@ def test_infinite_moment_guards(monkeypatch):
     def no_simulation(cfg):
         raise AssertionError("simulated before the finiteness guard")
 
-    monkeypatch.setattr(sim, "_simulate_exits", no_simulation)
+    monkeypatch.setattr(_paths, "_simulate_exits", no_simulation)
     eps = Fraction(1, 10**10)
     near, far = Fraction(1, 4) - eps / 4, Fraction(1, 4) + eps / 4
     w_eps = WalkSpec([(1, 1, near), (-1, -1, near), (1, -1, far), (-1, 1, far)])
@@ -254,7 +263,7 @@ def test_mean_se_equals_numpy(dtype):
             v = rng.standard_normal(n) * 1e3 + 7.5
         else:
             v = rng.integers(1, np.iinfo(dtype).max // 2, n, dtype=dtype)
-        est, se = sim._mean_se(v)
+        est, se = _paths._mean_se(v)
         assert est.hex() == float(np.mean(v)).hex(), n
         want = float(np.std(v, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         assert se.hex() == want.hex(), n
@@ -312,7 +321,7 @@ def test_joint_tail_partial_chunk_below_block_switch():
 def test_joint_tail_more_chunks_than_one_group(monkeypatch):
     """With 2048-path chunks a group holds 2048 // BLOCK_SWITCH = 4 chunks,
     so 11 chunks step their tails in three groups."""
-    monkeypatch.setattr(sim, "CHUNK", 2048)
+    monkeypatch.setattr(_paths, "CHUNK", 2048)
     cfg = SimConfig(walk=diagonal_walk(), start=(2, 1), paths=10 * 2048 + 700, seed=13,
                     max_steps=300, checks=())
     tau, _, truncated = _matches_reference(cfg, chunk=2048)
@@ -322,8 +331,8 @@ def test_joint_tail_more_chunks_than_one_group(monkeypatch):
 
 def test_import_leaves_numpy_unloaded():
     """Importing the package and the CLI adds no heavy module to those a
-    bare interpreter has (site preloads typing on some hosts); numpy loads
-    with the simulator's names."""
+    bare interpreter has (site preloads typing on some hosts), and neither
+    do the simulator's names."""
     slow = ("dataclasses", "inspect", "logging", "typing", "numpy", "mpmath")
     code = (
         "import sys\n"
@@ -332,10 +341,68 @@ def test_import_leaves_numpy_unloaded():
         f"added = sorted(set({slow!r}) & set(sys.modules) - bare)\n"
         "assert not added, f'loaded by import conewalk, conewalk.cli: {added}'\n"
         "from conewalk import SimConfig\n"
-        "assert SimConfig.__module__ == 'conewalk.sim' and 'numpy' in sys.modules\n"
+        "assert SimConfig.__module__ == 'conewalk.sim' and 'numpy' not in sys.modules\n"
     )
     src = os.path.dirname(os.path.dirname(conewalk.__file__))
     env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_simulator_loads_numpy_with_the_first_step():
+    """Configs, the check table, every refusal and the simulate help run
+    without numpy; a run that steps one path loads it."""
+    code = """
+import pickle, sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+
+def no_numpy(step):
+    assert 'numpy' not in sys.modules, f'numpy loaded by {step}'
+
+import conewalk.sim
+no_numpy('import conewalk.sim')
+from conewalk import (InsufficientSurvivors, MomentCheckInvalid, SimConfig, StartNotInterior,
+                      ValidationError, diagonal_walk, sample_exit, simple_walk)
+from conewalk.cli import main
+from conewalk.sim import KNOWN_CHECKS
+
+cfg = SimConfig(walk=diagonal_walk(), start=(1, 1), paths=1, seed=0, max_steps=10)
+back = pickle.loads(pickle.dumps(cfg))
+assert back.walk.atoms == cfg.walk.atoms and back.checks == KNOWN_CHECKS[:1] == ('tau-mean',)
+no_numpy('a SimConfig, its pickle round trip and KNOWN_CHECKS')
+for walk, check, error, paths in ((simple_walk(), 'tau-mean', MomentCheckInvalid, 10),
+                                  (diagonal_walk(), 'tau-second', MomentCheckInvalid, 10),
+                                  (diagonal_walk(), 'tail', InsufficientSurvivors, 50)):
+    try:
+        sample_exit(SimConfig(walk=walk, start=(1, 1), paths=paths, seed=0, checks=(check,)))
+    except error:
+        no_numpy(f'the {check} refusal')
+    else:
+        raise AssertionError(f'{check} not refused')
+for kw, error in (({'paths': 0}, ValidationError), ({'start': (0, 1)}, StartNotInterior)):
+    try:
+        SimConfig(**{'walk': diagonal_walk(), 'start': (1, 1), 'paths': 1, 'seed': 0, **kw})
+    except error:
+        no_numpy(f'the {error.__name__} of {kw}')
+    else:
+        raise AssertionError(f'{kw} not refused')
+with redirect_stdout(StringIO()) as out:
+    try:
+        main(['simulate', '--help'])
+    except SystemExit as e:
+        assert e.code == 0, e.code
+assert 'tau-mean' in out.getvalue(), 'simulate --help lists no checks'
+no_numpy('simulate --help')
+with redirect_stderr(StringIO()):
+    assert main(['simulate', '--walk', 'simple', '--check', 'tau-mean']) == 2
+no_numpy('a refused simulate command')
+sample_exit(SimConfig(walk=diagonal_walk(), start=(1, 1), paths=1, seed=0, max_steps=10))
+assert 'numpy' in sys.modules, 'a run that steps loaded no numpy'
+"""
+    src = os.path.dirname(os.path.dirname(conewalk.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("CONE_LOG", None)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
