@@ -44,12 +44,18 @@ def one_step_residual(h: Poly, w: WalkSpec, y: tuple[int, int]):
     coefficients when h is a float polynomial (scalars.field_of), as it is
     when h was built for another opening than the walk's own.
 
-    On exact fields h's coefficients, the 1 + #atoms images and the atom
-    probabilities go into one integer sum (:func:`exact_poly_sum`); on
-    float fields the terms are added in the order written above."""
+    On exact fields an image T(y+dy) is T y plus the atom's T dy
+    (WalkSpec.jumps), and h's coefficients, the 1 + #atoms images and the
+    atom probabilities go into one integer sum (:func:`exact_poly_sum`).
+    On float fields each image is T(y+dy), and the terms are added in the
+    order written above."""
     backend = field_of(h.terms.values(), w.cone.backend)
-    y1, y2 = y
-    points = [_image(w, y, backend)] + [_image(w, (y1 + a, y2 + b), backend) for a, b, _ in w.atoms]
+    if backend.exact:
+        x1, x2 = _image(w, y, backend)
+        points = [(x1, x2)] + [(x1 + d1, x2 + d2) for d1, d2 in w.jumps]
+    else:
+        y1, y2 = y
+        points = [_image(w, y, backend)] + [_image(w, (y1 + a, y2 + b), backend) for a, b, _ in w.atoms]
     weights = [-1] + [p for _, _, p in w.atoms]
     acc = exact_poly_sum(h.terms, points, weights)
     if acc is not None:

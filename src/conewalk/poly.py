@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 
 from .errors import BoundaryPointError, ValidationError
-from .scalars import exact_poly_sum
+from .scalars import exact_derivative, exact_poly_sum
 
 
 def _is_stored_zero(c) -> bool:
@@ -179,12 +179,17 @@ class Poly:
     # ---- calculus ------------------------------------------------------
     def diff(self, var: int, times: int = 1) -> "Poly":
         """times-th partial derivative with respect to x1 (var=1) or x2
-        (var=2), in one pass over the terms.  A term's coefficient is
-        multiplied by e, e-1, ..., e-times+1 in turn, the products that
-        times single derivatives form, so float coefficients round as they
-        would there."""
+        (var=2), in one pass over the terms.  Exact coefficients (int,
+        Fraction, or QuadElement of one field) take one product each,
+        c * e(e-1)...(e-times+1) (:func:`conewalk.scalars.exact_derivative`).
+        Any other coefficient is multiplied by e, e-1, ..., e-times+1 in
+        turn, the products that times single derivatives form, so float
+        coefficients round as they would there."""
         if times <= 0:
             return self
+        t = exact_derivative(self.terms, var, times)
+        if t is not None:
+            return Poly._of(t)
         t = {}
         if var == 1:
             for (i, j), c in self.terms.items():

@@ -358,6 +358,27 @@ def exact_poly_sum(terms: dict, points, weights):
     return _reduced(na, nb, den * common, d)
 
 
+def exact_derivative(terms: dict, var: int, times: int):
+    """The terms of the times-th partial derivative with respect to x1
+    (var=1) or x2 (var=2) of the polynomial {(i, j): c_ij}, when every
+    coefficient is an int, Fraction or QuadElement of one field: each
+    coefficient times one integer, e(e-1)...(e-times+1) = math.perm(e,
+    times), for its exponent e of the variable.  Exact products equal the
+    product of the factors taken one at a time, and an exact nonzero times
+    a positive integer is nonzero.  Returns None for any other
+    coefficients (mpf, float, or QuadElements of two fields), which the
+    caller multiplies factor by factor so that floats round as they
+    would there."""
+    if exact_field(terms.values()) is None:
+        return None
+    perm = math.perm
+    if var == 1:
+        return {(i - times, j): c * perm(i, times) for (i, j), c in terms.items() if i >= times}
+    if var == 2:
+        return {(i, j - times): c * perm(j, times) for (i, j), c in terms.items() if j >= times}
+    return {}
+
+
 def _triple(v) -> tuple[int, int, int]:
     """An int, Fraction or QuadElement as integers (a, b, c), c > 0, with
     v = (a + b*sqrt(d)) / c."""

@@ -272,6 +272,8 @@ class SimConfig(Record):
             v = getattr(self, name)
             if not isinstance(v, numbers.Integral) or v < least:
                 raise ValidationError(f"{name} must be an integer >= {least}, got {v!r}")
+            # a Python int: numpy integers would wrap in the size arithmetic
+            object.__setattr__(self, name, int(v))
         for c in self.checks:
             if c not in KNOWN_CHECKS:
                 raise ValidationError(f"unknown check {c!r}; known: {KNOWN_CHECKS}")

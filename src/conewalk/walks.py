@@ -109,7 +109,18 @@ class WalkSpec:
             raise DegenerateCorrelation("|rho| = 1")
         self.rho_sign = 0 if self.cov == 0 else (1 if self.cov > 0 else -1)
         self.transform = build_transform(self)
+        #: T dy for each atom, in the transform's field
+        self.jumps = [self.transform.apply(a, b) for a, b, _ in self.atoms]
         self.cone = cone_for_walk(self)
+
+    def __eq__(self, other):
+        # the atoms, in order, fix everything else (the simulator's draws too)
+        if not isinstance(other, WalkSpec):
+            return NotImplemented
+        return self.atoms == other.atoms
+
+    def __hash__(self):
+        return hash(tuple(self.atoms))
 
     @property
     def backend(self) -> Backend:

@@ -20,7 +20,7 @@ from conewalk import (
     laplacian,
     re_power,
 )
-from conewalk.scalars import exact_poly_sum
+from conewalk.scalars import exact_derivative, exact_poly_sum
 from conftest import scalar_sum
 
 
@@ -128,9 +128,30 @@ def stored(p):
     return [(e, getattr(c, "_mpf_", c)) for e, c in p.terms.items()]
 
 
-@pytest.mark.parametrize("field", FIELDS)
+def mixed_exact(d):
+    """Random int, Fraction and (for d > 1) QuadElement coefficients of Q(sqrt d)."""
+    def coeff(rng):
+        kind = rng.randrange(3 if d > 1 else 2)
+        n = rng.choice((rng.randrange(-9, 10) or 1, rng.randrange(-(10**30), 10**30) or 1))
+        if kind == 0:
+            return n
+        if kind == 1:
+            return Fraction(n, rng.randrange(1, 10**6))
+        q = Fraction(rng.randrange(-50, 50), rng.randrange(1, 7))
+        return QuadElement(Fraction(n, rng.randrange(1, 99)), q, d)
+    return coeff
+
+
+DIFF_FIELDS = {**FIELDS, "mixed Q": mixed_exact(1), "mixed Q(sqrt 2)": mixed_exact(2),
+               "mixed Q(sqrt 3)": mixed_exact(3)}
+
+
+@pytest.mark.parametrize("field", DIFF_FIELDS)
 def test_diff_times_equals_repeated_single_derivatives(field):
-    p = dense_poly(9, FIELDS[field])
+    """Exact coefficients take one product per term (exact_derivative) and
+    give the value, type and field of the per-factor reference; float ones
+    are multiplied factor by factor, bit for bit."""
+    p = dense_poly(9, DIFF_FIELDS[field])
     for var in (1, 2):
         for times in range(12):
             want = p
@@ -138,7 +159,28 @@ def test_diff_times_equals_repeated_single_derivatives(field):
                 want = single_diff(want, var)
             got = p.diff(var, times)
             assert stored(got) == stored(want), (var, times)
+            assert [(type(c), getattr(c, "d", None)) for c in got.terms.values()] == \
+                [(type(c), getattr(c, "d", None)) for c in want.terms.values()]
             assert got.degree() == max(-1, 9 - times)
+            assert (exact_derivative(p.terms, var, times) is None) == (field == "float:256")
+
+
+def test_a_polynomial_holding_an_mpf_multiplies_factor_by_factor():
+    """One mpf coefficient among exact ones sends the whole polynomial
+    through the per-factor products, bit for bit."""
+    x = bigfloat(256).convert(Fraction(10**9 + 7, 3**17))
+    p = Poly({(4, 3): Fraction(5, 7), (3, 3): x, (6, 1): 9, (2, 5): QuadElement(1, Fraction(1, 2), 3)})
+    assert exact_derivative(p.terms, 1, 2) is None
+    for var in (1, 2):
+        for times in range(8):
+            want = p
+            for _ in range(times):
+                want = single_diff(want, var)
+            assert stored(p.diff(var, times)) == stored(want), (var, times)
+    # QuadElements of two fields are no one exact field either
+    two = Poly({(3, 0): QuadElement(0, 1, 2), (2, 0): QuadElement(0, 1, 3)})
+    assert exact_derivative(two.terms, 1, 2) is None
+    assert two.diff(1, 2) == Poly({(1, 0): QuadElement(0, 6, 2), (0, 0): QuadElement(0, 2, 3)})
 
 
 def test_derivative_past_the_degree_is_zero():

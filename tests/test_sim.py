@@ -4,6 +4,7 @@ moment-finiteness guards."""
 import logging
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -90,6 +91,29 @@ def test_config_takes_numpy_integers():
     kw = {"walk": diagonal_walk(), "start": (1, 1), "checks": ("tau-mean", "harmonicity")}
     wide = SimConfig(paths=np.int64(3000), seed=np.int64(2), max_steps=np.int64(500), **kw)
     assert sample_exit(wide) == sample_exit(SimConfig(paths=3000, seed=2, max_steps=500, **kw))
+
+
+@pytest.mark.filterwarnings("error")
+def test_config_stores_numpy_integers_as_ints():
+    """paths, seed and max_steps are stored as Python ints, so the size
+    arithmetic on them cannot wrap: an np.int64 max_steps of 2**62 picks
+    int64 positions, as the same int does, and warns of no overflow."""
+    kw = {"walk": skewed_walk(), "start": (1, 1)}
+    wide = SimConfig(paths=np.int64(5), seed=np.int64(0), max_steps=np.int64(2**62), **kw)
+    narrow = SimConfig(paths=5, seed=0, max_steps=2**62, **kw)
+    assert _path_dtype(wide) is _path_dtype(narrow) is np.int64
+    assert [type(getattr(wide, f)) for f in ("paths", "seed", "max_steps")] == [int, int, int]
+    assert wide == narrow
+
+
+def test_configs_of_equal_walks_are_equal():
+    """A config compares and hashes by its walk's atoms, also across a
+    pickle round trip."""
+    cfg = SimConfig(walk=diagonal_walk(), start=(2, 1), paths=10, seed=3, max_steps=50)
+    twin = SimConfig(walk=diagonal_walk(), start=(2, 1), paths=10, seed=3, max_steps=50)
+    back = pickle.loads(pickle.dumps(cfg))
+    assert cfg == twin == back and hash(cfg) == hash(twin) == hash(back)
+    assert cfg != SimConfig(walk=simple_walk(), start=(2, 1), paths=10, seed=3, max_steps=50)
 
 
 def test_tail_refused_before_stepping_when_no_run_can_meet_its_rule(monkeypatch):
@@ -369,7 +393,7 @@ from conewalk.sim import KNOWN_CHECKS
 
 cfg = SimConfig(walk=diagonal_walk(), start=(1, 1), paths=1, seed=0, max_steps=10)
 back = pickle.loads(pickle.dumps(cfg))
-assert back.walk.atoms == cfg.walk.atoms and back.checks == KNOWN_CHECKS[:1] == ('tau-mean',)
+assert back == cfg and back.checks == KNOWN_CHECKS[:1] == ('tau-mean',)
 no_numpy('a SimConfig, its pickle round trip and KNOWN_CHECKS')
 for walk, check, error, paths in ((simple_walk(), 'tau-mean', MomentCheckInvalid, 10),
                                   (diagonal_walk(), 'tau-second', MomentCheckInvalid, 10),

@@ -1,5 +1,6 @@
 """Walk specifications, normalizing transforms, pushed moment tables."""
 
+import pickle
 import re
 import time
 from fractions import Fraction
@@ -161,6 +162,17 @@ def test_moment_order_enforced():
     mu = push_moments(simple_walk(), 2)
     with pytest.raises(Exception):
         mu(2, 1)
+
+
+def test_walks_compare_and_hash_by_their_atoms():
+    """Two constructions of one walk are equal, also after a pickle round
+    trip; the order of the atoms counts, as it does for the simulator."""
+    w = diagonal_walk()
+    assert w == diagonal_walk() == pickle.loads(pickle.dumps(w))
+    assert hash(w) == hash(diagonal_walk())
+    assert w != skewed_walk() and w != w.atoms
+    assert w != WalkSpec(w.atoms[::-1])
+    assert len({w, diagonal_walk(), simple_walk()}) == 2
 
 
 def test_map_point():
