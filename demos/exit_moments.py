@@ -16,7 +16,7 @@ from conewalk.errors import MomentNotFinite
 
 w = diagonal_walk()
 cone = w.cone
-print(f"wedge opening pi/{cone.m}, slope b = {cone.b}, tail exponent p = {cone.p_alpha}")
+print(f"wedge opening pi/{cone.m}, slope b = {cone.b}, pi/alpha = {cone.p_alpha:g}")
 
 mu = push_moments(w, 2)
 g1 = tau_moment_poly(1, cone, mu).G
@@ -35,7 +35,7 @@ print(f"\nexit position from x = ({format_scalar(x[0])}, {format_scalar(x[1])}):
 print("  means:", ep.mean1, ",", ep.mean2, "(the start itself)")
 print("  second moments:", ep.second1, ",", ep.second2)
 
-print("\nthe second exit-time moment is genuinely infinite here (p = 3 < 4):")
+print("\nthe second exit-time moment is genuinely infinite here (pi/alpha = 3 < 4):")
 try:
     tau_moment_poly(2, cone, push_moments(w, 4))
 except MomentNotFinite as e:

@@ -81,7 +81,7 @@ def _walk(args) -> WalkSpec | None:
     m = getattr(args, "m", None)
     if m is not None and w.cone.m != m:
         _log().warning("--m %d: the wedge of walk %s has opening pi/%g, not pi/%d",
-                       m, args.walk, w.cone.p_alpha_float(), m)
+                       m, args.walk, w.cone.p_alpha, m)
     if not check_no_overshoot(w):
         _log().warning("walk %s can jump over the boundary (a step component below -1); "
                        "the exact results assume it exits onto the boundary", args.walk)
@@ -203,7 +203,7 @@ def cmd_transform(args) -> int:
         "alpha_geometric": tr.alpha_geometric,
         "alpha_formula": tr.alpha_formula,
         "m": w.cone.m,
-        "p_alpha": w.cone.p_alpha_float(),
+        "p_alpha": w.cone.p_alpha,
     }
     _emit(args, obj)
     return EXIT_OK

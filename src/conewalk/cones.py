@@ -1,22 +1,58 @@
-"""Wedge descriptions: the opening alpha; the second boundary ray, as a
-point ray = (c, s) of its line in the wedge's scalar field, (1, tan alpha)
-or (0, 1) at alpha = pi/2 (the first ray is the positive x1-axis); and the
-one rule for which exit moments exist: a moment of degree n is finite
-exactly when n < pi/alpha (ConeSpec.admits).  A homogeneous polynomial
-vanishes on the ray exactly when it vanishes at (c, s), whichever way
-(c, s) points along the line."""
+"""Wedge descriptions: the opening alpha in (0, pi]; the second boundary
+ray, as a point ray = (c, s) of its line in the wedge's scalar field,
+(1, tan alpha) or (0, 1) at alpha = pi/2 (the first ray is the positive
+x1-axis); and the one rule that answers every question about the angle.
+
+Point the ray into the upper half plane, s >= 0, and let z = c + i s.
+Then n*alpha < pi exactly when Im(z^k) > 0 for k = 1..n, and n*alpha is
+a multiple of pi exactly when Im(z^n) = 0 (_im_sign).  The test is exact
+on Q and Q(sqrt(d)); on a float field it is the field's zero test,
+relative to max(1, |c|, |s|)^n.  It decides which exit moments exist (a
+moment of degree n is finite exactly when n < pi/alpha, ConeSpec.admits),
+whether a slope opens pi/m (cone_from_slope) and whether a degree is
+resonant (conewalk.harmonic.converse_angle_test).  A homogeneous
+polynomial vanishes on the ray exactly when it vanishes at (c, s),
+whichever way (c, s) points along the line."""
 
 from __future__ import annotations
-
-import math
-from fractions import Fraction
 
 from .errors import AngleNotRepresentable, ValidationError
 from .records import Record
 from .scalars import Backend, RATIONAL, bigfloat, tan_field
 
-#: guard band for the float comparison of a degree against pi/alpha
-RESONANCE_GUARD = 1e-9
+
+def _upper(ray) -> tuple:
+    """ray pointed into the closed upper half plane: (c, s) with s >= 0.
+    A ray with s = 0 opens pi whichever way it points."""
+    c, s = ray
+    return (-c, -s) if s < 0 else (c, s)
+
+
+def _im_sign(ray, backend: Backend, n: int) -> int:
+    """The sign of Im(z^n) for z = c + i s, (c, s) = _upper(ray): 0 when it
+    is zero in backend's field relative to max(1, |c|, |s|)^n.  z^n comes
+    from binary powering."""
+    c, s = _upper(ray)
+    re, im = backend.one(), backend.zero()
+    a, b, k = c, s, n
+    while k:
+        if k & 1:
+            re, im = re * a - im * b, re * b + im * a
+        k >>= 1
+        if k:
+            a, b = a * a - b * b, 2 * a * b
+    if backend.is_zero(im, backend.convert(backend.scale([c, s])) ** n):
+        return 0
+    return 1 if im > 0 else -1
+
+
+def _pi_over_alpha(ray, backend: Backend):
+    """pi/alpha in backend's float field; the opening of a ray with s = 0
+    is pi."""
+    field = backend.float_field()
+    mp = field.mp
+    c, s = (field.convert(v) for v in _upper(ray))
+    return mp.pi / mp.atan2(s, c) if s else mp.mpf(1)
 
 
 class ConeSpec(Record):
@@ -26,7 +62,6 @@ class ConeSpec(Record):
     m: int | None  # integer mode: alpha = pi/m; None for a general angle
     ray: tuple  # (c, s): the second boundary ray's line, in backend's field
     backend: Backend
-    p_alpha: object  # pi/alpha: Fraction(m) in integer mode, else an mpf
 
     @property
     def b(self):
@@ -37,38 +72,33 @@ class ConeSpec(Record):
             raise ValidationError("the second boundary ray x1 = 0 has no finite slope")
         return s / c
 
+    @property
+    def p_alpha(self) -> float:
+        """pi/alpha as a float, for messages and the tail exponent: m for
+        an opening pi/m, else computed in the cone's float field (inf
+        beyond the float range).  No decision reads it."""
+        return float(self.m if self.m is not None else _pi_over_alpha(self.ray, self.backend))
+
     def admits(self, n: int) -> bool:
         """Whether a moment of degree n exists in this wedge: n < pi/alpha.
         The exit time's tail is P(tau > t) ~ t^(-pi/(2 alpha))
         (Denisov-Wachtel 2015), so E[tau^k] needs 2k < pi/alpha and the
-        exit position's degree-n moments need n < pi/alpha.  Exact for an
-        opening pi/m; a general pi/alpha must clear n by RESONANCE_GUARD."""
+        exit position's degree-n moments need n < pi/alpha.  For an
+        opening pi/m it is n < m.  Otherwise pi/alpha, computed in the
+        float field, picks the side when it is more than 1/2 from n, and
+        the sign of Im(z^n) decides nearer than that: then (n-1)*alpha <
+        pi, so n*alpha < pi exactly when Im(z^n) > 0."""
         if self.m is not None:
             return n < self.m
-        return n < float(self.p_alpha) - RESONANCE_GUARD
+        ratio = _pi_over_alpha(self.ray, self.backend)
+        if abs(n - ratio) > 0.5:
+            return n < ratio
+        return _im_sign(self.ray, self.backend, n) > 0
 
     def refusal(self, n: int) -> str:
         """Why admits(n) is False, for an error message: pi/alpha exactly
-        for an opening pi/m, and a general one as its shortest round-trip
-        decimal, or as n plus its offset when it exceeds n by less than
-        RESONANCE_GUARD, so that a near-resonant wedge does not read as
-        resonant."""
-        p = self.p_alpha
-        if self.m is not None:
-            return f"pi/alpha = {self.m} <= {n}"
-        d = float(p - n)
-        if d > 0:
-            return f"pi/alpha = {n} + {d:.2g} is within the guard band RESONANCE_GUARD = {RESONANCE_GUARD:g} of {n}"
-        return f"pi/alpha = {float(p)!r} <= {n}"
-
-    def alpha_float(self) -> float:
-        return math.pi / float(self.p_alpha)
-
-    def b_float(self) -> float:
-        return float(self.b)
-
-    def p_alpha_float(self) -> float:
-        return float(self.p_alpha)
+        for an opening pi/m, else as its shortest round-trip decimal."""
+        return f"pi/alpha = {self.m if self.m is not None else repr(self.p_alpha)} <= {n}"
 
 
 def make_cone(m: int, backend: Backend | None = None) -> ConeSpec:
@@ -88,7 +118,7 @@ def make_cone(m: int, backend: Backend | None = None) -> ConeSpec:
             ray = (backend.one(), backend.tan_pi_over(m))
         except ValueError as e:
             raise AngleNotRepresentable(str(e)) from e
-    return ConeSpec(m=m, ray=ray, backend=backend, p_alpha=Fraction(m))
+    return ConeSpec(m=m, ray=ray, backend=backend)
 
 
 def cone_for_table(m: int, backend: Backend) -> ConeSpec:
@@ -104,26 +134,22 @@ def cone_for_table(m: int, backend: Backend) -> ConeSpec:
 
 
 def cone_from_slope(b, backend: Backend | None = None) -> ConeSpec:
-    """General-angle wedge from a slope b = tan(alpha), alpha in (0, pi):
-    second ray (1, b).
-    alpha is the principal angle: atan(b) for b > 0, pi/2 + |atan(b)|-style
-    continuation for b < 0.  b is converted into backend's field; the
-    opening is pi/m only when b equals tan(pi/m) within the field's
-    tolerance."""
+    """General-angle wedge from a slope b = tan(alpha), alpha in (0, pi]:
+    second ray (1, b), so a negative slope opens beyond pi/2 and the slope
+    0 opens pi.  b is converted into backend's field.  The opening is pi/m
+    for m the nearest integer to pi/alpha when Im(z^m) is zero in the
+    field and, unless m = 1, Im(z^(m-1)) is positive."""
     backend = backend or bigfloat()
     try:
         b = backend.convert(b)
     except (TypeError, ValueError) as e:
         raise ValidationError(f"slope {b!r} is not in {backend.name}") from e
-    field = backend.float_field()
-    b_mp = field.convert(b)
-    alpha = field.mp.atan(b_mp)
-    if alpha <= 0:
-        alpha += field.mp.pi
-    p_alpha = field.mp.pi / alpha
-    # an exact pi/m opening with m <= 64: the nearest m, confirmed in the field
-    m = round(float(p_alpha)) if p_alpha < 64.5 else None
-    if m is not None and not field.is_zero(b_mp - field.tan_pi_over(m)):
+    ray = (backend.one(), b)
+    m = int(backend.float_field().mp.nint(_pi_over_alpha(ray, backend)))
+    try:  # an exact field holds tan(pi/m) for a few m only: the others need no power
+        backend.tan_pi_over(m)
+    except ValueError:
         m = None
-    return ConeSpec(m=m, ray=(backend.one(), b), backend=backend, p_alpha=Fraction(m) if m else p_alpha)
-
+    if m is not None and not (_im_sign(ray, backend, m) == 0 and (m == 1 or _im_sign(ray, backend, m - 1) > 0)):
+        m = None
+    return ConeSpec(m=m, ray=ray, backend=backend)

@@ -304,7 +304,7 @@ def prop_exit_threshold(rng, float_bits):
         raise AssertionError("threshold not enforced at opening pi/2")
     except MomentNotFinite:
         pass
-    return "moment finiteness threshold raises exactly at k >= p_alpha/2"
+    return "moment finiteness threshold raises exactly at 2k >= pi/alpha"
 
 
 def prop_exit_pullback(rng, float_bits):

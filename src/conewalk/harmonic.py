@@ -11,7 +11,7 @@ degree-2 pass the drift is identically zero.
 
 from __future__ import annotations
 
-from .cones import ConeSpec, cone_for_table
+from .cones import ConeSpec, _im_sign, cone_for_table
 from .drift import drift_expansion
 from .errors import InsufficientMoments, InternalError, ValidationError
 from .exits import _solve_top_down
@@ -116,15 +116,14 @@ def converse_angle_test(n: int, cone: ConeSpec) -> AngleClassification:
     """Classify a degree/wedge pair: a nonzero degree-n homogeneous
     polynomial vanishing on both rays exists iff the opening is q*pi/n for
     some integer q, that is iff Im((c + i s)^n) = 0 at the second ray
-    (c, s), tested in the cone's field relative to max(1, |c|, |s|)^n.
+    (c, s), tested in the cone's field relative to max(1, |c|, |s|)^n
+    (the rule of conewalk.cones).
     Then the solution space is spanned by Im(x1 + i x2)^n, positive
     throughout the open wedge exactly when q = 1.
     """
     if n < 2:
         raise ValidationError("degree must be >= 2")
-    c, s = cone.ray
-    backend = cone.backend
-    if not backend.is_zero(im_power(n).evaluate(c, s), backend.scale([c**n, s**n])):
+    if _im_sign(cone.ray, cone.backend, n) != 0:
         return AngleClassification(n=n, resonant=False, q=None, kernel_positive=None)
     q = round(n / cone.p_alpha)
     return AngleClassification(n=n, resonant=True, q=q, kernel_positive=(q == 1))

@@ -184,8 +184,11 @@ class Poly:
         c * e(e-1)...(e-times+1) (:func:`conewalk.scalars.exact_derivative`).
         Any other coefficient is multiplied by e, e-1, ..., e-times+1 in
         turn, the products that times single derivatives form, so float
-        coefficients round as they would there."""
-        if times <= 0:
+        coefficients round as they would there.  ValidationError for a var
+        other than 1 or 2 or a negative times; times = 0 returns self."""
+        if var not in (1, 2) or times < 0:
+            raise ValidationError(f"no derivative {times} times in x{var}: var is 1 or 2, times >= 0")
+        if times == 0:
             return self
         t = exact_derivative(self.terms, var, times)
         if t is not None:
@@ -197,7 +200,7 @@ class Poly:
                     for e in range(i, i - times, -1):
                         c = c * e
                     t[(i - times, j)] = c
-        elif var == 2:
+        else:
             for (i, j), c in self.terms.items():
                 if j >= times:
                     for e in range(j, j - times, -1):

@@ -360,10 +360,11 @@ def exact_poly_sum(terms: dict, points, weights):
 
 def exact_derivative(terms: dict, var: int, times: int):
     """The terms of the times-th partial derivative with respect to x1
-    (var=1) or x2 (var=2) of the polynomial {(i, j): c_ij}, when every
-    coefficient is an int, Fraction or QuadElement of one field: each
-    coefficient times one integer, e(e-1)...(e-times+1) = math.perm(e,
-    times), for its exponent e of the variable.  Exact products equal the
+    (var=1) or x2 (var=2, the only other var Poly.diff passes) of the
+    polynomial {(i, j): c_ij}, when every coefficient is an int, Fraction
+    or QuadElement of one field: each coefficient times one integer,
+    e(e-1)...(e-times+1) = math.perm(e, times), for its exponent e of the
+    variable.  Exact products equal the
     product of the factors taken one at a time, and an exact nonzero times
     a positive integer is nonzero.  Returns None for any other
     coefficients (mpf, float, or QuadElements of two fields), which the
@@ -374,9 +375,7 @@ def exact_derivative(terms: dict, var: int, times: int):
     perm = math.perm
     if var == 1:
         return {(i - times, j): c * perm(i, times) for (i, j), c in terms.items() if i >= times}
-    if var == 2:
-        return {(i, j - times): c * perm(j, times) for (i, j), c in terms.items() if j >= times}
-    return {}
+    return {(i, j - times): c * perm(j, times) for (i, j), c in terms.items() if j >= times}
 
 
 def _triple(v) -> tuple[int, int, int]:
@@ -562,6 +561,14 @@ class Backend:
         return bigfloat()
 
     def parse(self, s: str):
+        """The value of this field that the string s names; ValueError when
+        it names none, a zero denominator such as "1/0" included."""
+        try:
+            return self._parse(s)
+        except ZeroDivisionError:
+            raise ValueError(f"{s!r} has a zero denominator") from None
+
+    def _parse(self, s: str):
         raise NotImplementedError
 
     def __repr__(self):
@@ -582,7 +589,7 @@ class RationalBackend(Backend):
             return v.p
         return Fraction(v)
 
-    def parse(self, s: str):
+    def _parse(self, s: str):
         return Fraction(s)
 
 
@@ -604,7 +611,7 @@ class QuadraticBackend(Backend):
             return v
         return QuadElement(Fraction(v), 0, self.d)
 
-    def parse(self, s: str):
+    def _parse(self, s: str):
         m = _QUAD_RE.match(s)
         if m:
             q = Fraction(m.group("q"))
@@ -690,7 +697,7 @@ class FloatBackend(Backend):
     def tan_pi_over(self, m: int):
         return self.mp.tan(self.mp.pi / m)
 
-    def parse(self, s: str):
+    def _parse(self, s: str):
         return self.mp.mpf(s)
 
 

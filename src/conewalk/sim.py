@@ -218,7 +218,7 @@ def _tail(cfg: SimConfig, exits):
     denom = float(np.sum((xs - xs.mean()) ** 2))
     dof = max(len(ns) - 2, 1)
     se = math.sqrt(float(np.sum(resid**2)) / dof / denom) if denom > 0 else 0.0
-    slope, target = float(slope), -cfg.walk.cone.p_alpha_float() / 2
+    slope, target = float(slope), -cfg.walk.cone.p_alpha / 2
     z = (slope - target) / se if se > 0 else 0.0
     note = f"band +/-{TAIL_BAND}, {len(ns)} dyadic points"
     return [CheckResult("tail", slope, se, target, z, abs(slope - target) <= TAIL_BAND, note)], None
@@ -239,7 +239,7 @@ class _Check(Record):
         if self.degree is not None and not cone.admits(self.degree):
             return f"{self.name} needs {self.degree} < pi/alpha: {cone.refusal(self.degree)}"
         if self.integer_m and cone.m is None:
-            return f"{self.name} needs an opening pi/m, m an integer: pi/alpha = {cone.p_alpha_float()!r}"
+            return f"{self.name} needs an opening pi/m, m an integer: pi/alpha = {cone.p_alpha!r}"
         return None
 
 

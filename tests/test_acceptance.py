@@ -65,7 +65,7 @@ EXACT_TAN_TABLE = {
 
 
 def slope_cone(backend, b):
-    return ConeSpec(m=None, ray=(backend.one(), b), backend=backend, p_alpha=Fraction(1))
+    return ConeSpec(m=None, ray=(backend.one(), b), backend=backend)
 
 
 def test_c01_matrix_reproduction():

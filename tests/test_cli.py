@@ -175,12 +175,17 @@ def test_exit_moments_general_angle_walk(tmp_path, capsys):
         assert abs(b - 2 * mpmath.sqrt(2)) <= mpmath.mpf(2) ** -128
 
 
-def test_exit_moments_refused_by_the_guard_band_says_so(capsys):
-    """A slope of 1e12 makes pi/alpha = 2 + 1.3e-12: E[tau] is refused by
-    RESONANCE_GUARD, and pi/alpha must not print as 2."""
-    rc, _, err = run(capsys, "exit-moments", "--k", "1", "--b", "1000000000000", "--walk", "skewed")
-    assert rc == EXIT_VALIDATION
-    assert "pi/alpha = 2 + 1.3e-12 is within the guard band" in err
+def test_exit_moments_admits_a_wedge_just_below_pi_over_2(capsys):
+    """A slope of 1e12 makes pi/alpha = 2 + 1.3e-12, so E[tau] is finite:
+    G = x2*(1e12 x1 - x2) with a zero drift residual.  The resonant
+    openings pi/2 and pi/3 refuse it and E[tau^2], printing pi/alpha."""
+    rc, out, _ = run(capsys, "exit-moments", "--k", "1", "--b", "1000000000000", "--walk", "skewed")
+    assert rc == EXIT_OK
+    obj = json.loads(out)
+    assert obj["G"]["terms"] == [{"i": 0, "j": 2, "c": "-1"}, {"i": 1, "j": 1, "c": "1000000000000"}]
+    assert obj["residual_max"] == 0.0
+    rc, _, err = run(capsys, "exit-moments", "--k", "1", "--m", "2", "--walk", "skewed")
+    assert rc == EXIT_VALIDATION and "pi/alpha = 2 <= 2" in err
     rc, _, err = run(capsys, "exit-moments", "--k", "2", "--walk", "diagonal")
     assert rc == EXIT_VALIDATION and "pi/alpha = 3 <= 4" in err
 
@@ -272,6 +277,21 @@ def test_validation_exit_code(capsys):
     assert rc == EXIT_VALIDATION
     rc, _, err = run(capsys, "exit-moments", "--k", "2", "--m", "3", "--walk", "diagonal")
     assert rc == EXIT_VALIDATION and "moment-not-finite" in err
+
+
+def test_a_zero_denominator_exits_2_in_every_field(tmp_path, capsys):
+    """"1/0" as a slope, a point or a moment entry is invalid input, never
+    a ZeroDivisionError."""
+    for backend in ((), ("--backend", "quad:3"), ("--backend", "float:64")):
+        rc, _, err = run(capsys, "matrix", "--n", "3", "--b", "1/0", *backend)
+        assert rc == EXIT_VALIDATION and "zero denominator" in err, backend
+    rc, _, err = run(capsys, "exit-moments", "--k", "1", "--m", "3", "--walk", "diagonal", "--at", "1/0,1")
+    assert rc == EXIT_VALIDATION and "zero denominator" in err
+    entries = {(0, 0): "1", (1, 0): "0", (0, 1): "0", (2, 0): "1/0", (1, 1): "0", (0, 2): "1"}
+    path = tmp_path / "moments.json"
+    path.write_text(json.dumps({"order": 2, "mu": [{"k": k, "l": l, "v": v} for (k, l), v in entries.items()]}))
+    rc, _, err = run(capsys, "harmonic", "--m", "2", "--moments", str(path))
+    assert rc == EXIT_VALIDATION and "zero denominator" in err
 
 
 def test_out_file(tmp_path, capsys):

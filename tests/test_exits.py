@@ -54,19 +54,24 @@ def test_first_moment_drift_is_minus_one():
 def test_first_moment_rejects_wide_opening():
     """Openings pi/2, pi and 3pi/4 (slope -1): E[tau] is infinite, so neither
     G_1 nor the exit-position moments exist, whichever side of the sloped
-    ray the start lies on.  The message gives pi/alpha, also where it is
-    2 + 1.3e-10, an opening below pi/2 that RESONANCE_GUARD refuses."""
-    eps = Fraction(1, 10**10)
-    near, far = Fraction(1, 4) - eps / 4, Fraction(1, 4) + eps / 4
-    w_eps = WalkSpec([(1, 1, near), (-1, -1, near), (1, -1, far), (-1, 1, far)])
-    for cone in (make_cone(2), make_cone(1), cone_from_slope(-1, RATIONAL), w_eps.cone):
+    ray the start lies on.  The message gives pi/alpha.  An opening just
+    below pi/2, pi/alpha = 2 + 1.3e-10, has both, and G_1's drift is -1."""
+    for cone in (make_cone(2), make_cone(1), cone_from_slope(-1, RATIONAL)):
         why = re.escape(cone.refusal(2))
         with pytest.raises(AngleOutOfRange, match=why):
             first_moment_poly(cone)
         for start in ((-3, 1), (1, 1)):
             with pytest.raises(AngleOutOfRange, match=why):
                 exit_position_moments(cone, start)
-    assert "pi/alpha = 2 + 1.3e-10" in w_eps.cone.refusal(2)
+    eps = Fraction(1, 10**10)
+    near, far = Fraction(1, 4) - eps / 4, Fraction(1, 4) + eps / 4
+    w_eps = WalkSpec([(1, 1, near), (-1, -1, near), (1, -1, far), (-1, 1, far)])
+    cone, bk = w_eps.cone, w_eps.cone.backend
+    assert cone.m is None and 0 < cone.p_alpha - 2 < 1e-9
+    g1 = first_moment_poly(cone)
+    assert bk.vanishes(drift_expansion(g1, push_moments(w_eps, 2).to(bk)) + Poly.const(1), bk.scale(g1))
+    x = w_eps.map_point(1, 1)
+    assert exit_position_moments(cone, x).second1 == x[0] * x[0] + g1.evaluate(*x)
 
 
 def test_tau_moment_diagonal_frozen():
@@ -142,6 +147,19 @@ def test_poisson_degree_cap():
     mu = push_moments(skewed_walk(), 4)
     with pytest.raises(DegreeTooHigh):
         poisson_solve(Poly.const(Fraction(1)), cone, mu, 4)
+
+
+def test_poisson_solve_just_below_a_resonant_degree():
+    """The slope 1732050807/10^9 opens 4e-10 less than pi/3, so degree 3
+    is below pi/alpha: its nearly singular boundary system solves, and F's
+    drift is f exactly over Q and to the field's tolerance on float:256."""
+    f = Poly({(1, 0): Fraction(2), (0, 0): Fraction(-1)})
+    mu = push_moments(skewed_walk(), 3)
+    F = poisson_solve(f, cone_from_slope(Fraction(1732050807, 10**9), RATIONAL), mu, 3)
+    assert drift_expansion(F, mu) == f
+    bk = bigfloat()
+    F = poisson_solve(f.map_coeffs(bk.lift), cone_from_slope(Fraction(1732050807, 10**9), bk), mu.to(bk), 3)
+    assert bk.vanishes(drift_expansion(F, mu.to(bk)) - f.map_coeffs(bk.lift), bk.scale(F))
 
 
 def test_exit_position_frozen():

@@ -25,7 +25,7 @@ from conewalk import (
 
 
 def rational_cone(b):
-    return ConeSpec(m=None, ray=(Fraction(1), Fraction(b)), backend=RATIONAL, p_alpha=Fraction(1))
+    return ConeSpec(m=None, ray=(Fraction(1), Fraction(b)), backend=RATIONAL)
 
 
 def test_matrix_frozen_n3_b1():

@@ -189,6 +189,14 @@ def test_derivative_past_the_degree_is_zero():
     assert f.diff(1, 4).degree() == -1 and f.diff(1, 0) == f
 
 
+def test_diff_refuses_an_unknown_variable_or_a_negative_order():
+    f = Poly({(1, 1): Fraction(1)})
+    for var, times in ((3, 1), (0, 1), (1, -2), (2, -1)):
+        with pytest.raises(ValidationError):
+            f.diff(var, times)
+    assert f.diff(2, 0) is f
+
+
 def test_no_kernel_result_stores_a_zero():
     fl = bigfloat(256)
     x = fl.convert(Fraction(1, 3))

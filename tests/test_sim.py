@@ -171,24 +171,28 @@ def test_chunking_invariance():
 
 
 def test_infinite_moment_guards(monkeypatch):
-    """Each guard refuses before any path is stepped, also where pi/alpha
-    is 2 + 1.3e-10: E[tau] ~ 1e10 there, which the builder refuses.  W_B's
-    opening arccos(1/3) is not pi/m, so it has no h to check; every check
-    refused comes in one message."""
+    """Each guard refuses before any path is stepped.  Where pi/alpha is
+    2 + 1.3e-10, E[tau] ~ 1e10 is finite, and the guard lets its checks
+    through to the stepping.  W_B's opening arccos(1/3) is not pi/m, so it
+    has no h to check; every check refused comes in one message."""
+
+    class Stepped(Exception):
+        pass
 
     def no_simulation(cfg):
-        raise AssertionError("simulated before the finiteness guard")
+        raise Stepped
 
     monkeypatch.setattr(_paths, "_simulate_exits", no_simulation)
     eps = Fraction(1, 10**10)
     near, far = Fraction(1, 4) - eps / 4, Fraction(1, 4) + eps / 4
     w_eps = WalkSpec([(1, 1, near), (-1, -1, near), (1, -1, far), (-1, 1, far)])
-    assert 0 < float(w_eps.cone.p_alpha) - 2 < 1e-9
+    assert 0 < w_eps.cone.p_alpha - 2 < 1e-9
+    for checks in (("tau-mean",), ("exit-position",)):
+        with pytest.raises(Stepped):
+            sample_exit(SimConfig(walk=w_eps, start=(1, 1), paths=10, seed=0, checks=checks))
     for w, checks in (
-        (diagonal_walk(), ("tau-second",)),  # p_alpha = 3
-        (simple_walk(), ("tau-mean",)),  # p_alpha = 2: even the mean is infinite
-        (w_eps, ("tau-mean",)),
-        (w_eps, ("exit-position",)),
+        (diagonal_walk(), ("tau-second",)),  # pi/alpha = 3
+        (simple_walk(), ("tau-mean",)),  # pi/alpha = 2: even the mean is infinite
         (WalkSpec(W_B), ("harmonicity", "tail")),  # tail reads simulated paths
     ):
         with pytest.raises(MomentCheckInvalid):
@@ -200,15 +204,17 @@ def test_infinite_moment_guards(monkeypatch):
     assert refused == ["tau-second", "harmonicity"]  # pi/alpha = 2.55
 
 
-def test_near_resonant_refusal_reads_apart_from_resonant():
-    """pi/alpha = 2 + 1.3e-10 is refused by RESONANCE_GUARD alone, and the
-    message says so instead of printing pi/alpha as 2."""
+def test_near_resonant_wedge_is_admitted_and_resonant_is_refused():
+    """pi/alpha = 2 + 1.3e-10 admits every degree-2 check, and the target
+    G_1 has drift -1 to the field's tolerance; a resonant pi/alpha = 3
+    refuses E[tau^2] with pi/alpha printed exactly."""
     eps = Fraction(1, 10**10)
     near, far = Fraction(1, 4) - eps / 4, Fraction(1, 4) + eps / 4
     w_eps = WalkSpec([(1, 1, near), (-1, -1, near), (1, -1, far), (-1, 1, far)])
-    with pytest.raises(MomentCheckInvalid) as err:
-        sample_exit(SimConfig(walk=w_eps, start=(1, 1), paths=10, seed=0, checks=("tau-mean",)))
-    assert "pi/alpha = 2 + 1.3e-10" in str(err.value) and "RESONANCE_GUARD" in str(err.value)
+    cone = w_eps.cone
+    assert [c.name for c in sim.CHECKS if c.degree == 2 and c.refusal(cone) is None] == ["tau-mean", "exit-position"]
+    res = conewalk.tau_moment_poly(1, cone, conewalk.push_moments(w_eps, 2))
+    assert cone.backend.vanishes(res.residual, cone.backend.scale(res.G))
     with pytest.raises(MomentCheckInvalid) as err:
         sample_exit(SimConfig(walk=diagonal_walk(), start=(1, 1), paths=10, seed=0,
                               checks=("tau-second",)))

@@ -236,7 +236,7 @@ def test_walk_wedge_is_pi_over_m_only_for_an_exact_rho_squared():
     # rho = +1/2 has rho^2 = 1/4 but opens 2*pi/3
     w = WalkSpec([(1, 1, Fraction(3, 8)), (-1, -1, Fraction(3, 8)),
                   (1, -1, Fraction(1, 8)), (-1, 1, Fraction(1, 8))])
-    assert w.cone.m is None and abs(w.cone.p_alpha_float() - 1.5) < 1e-12
+    assert w.cone.m is None and abs(w.cone.p_alpha - 1.5) < 1e-12
 
 
 def test_map_point_lifts_into_the_cone_field():
