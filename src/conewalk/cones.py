@@ -84,15 +84,22 @@ class ConeSpec(Record):
         The exit time's tail is P(tau > t) ~ t^(-pi/(2 alpha))
         (Denisov-Wachtel 2015), so E[tau^k] needs 2k < pi/alpha and the
         exit position's degree-n moments need n < pi/alpha.  For an
-        opening pi/m it is n < m.  Otherwise pi/alpha, computed in the
-        float field, picks the side when it is more than 1/2 from n, and
+        opening pi/m it is n < m.  Otherwise pi/alpha is computed in the
+        float field, off by at most err = |pi/alpha| * 2^(4 - precision).
+        It picks the side when it is more than max(1/2, err) from n, and
         the sign of Im(z^n) decides nearer than that: then (n-1)*alpha <
-        pi, so n*alpha < pi exactly when Im(z^n) > 0."""
+        pi, so n*alpha < pi exactly when Im(z^n) > 0.  That needs err <
+        1/2, which fails only when pi/alpha exceeds about 2^(precision-5);
+        a degree within err of such a pi/alpha raises ValidationError."""
         if self.m is not None:
             return n < self.m
+        field = self.backend.float_field()
         ratio = _pi_over_alpha(self.ray, self.backend)
-        if abs(n - ratio) > 0.5:
+        err = abs(ratio) * field.mp.mpf(2) ** (4 - field.precision)
+        if abs(n - ratio) > max(0.5, err):
             return n < ratio
+        if err >= 0.5:
+            raise ValidationError(f"degree {n} lies within {float(err):.3g} of pi/alpha in {field.name}")
         return _im_sign(self.ray, self.backend, n) > 0
 
     def refusal(self, n: int) -> str:
@@ -146,10 +153,11 @@ def cone_from_slope(b, backend: Backend | None = None) -> ConeSpec:
         raise ValidationError(f"slope {b!r} is not in {backend.name}") from e
     ray = (backend.one(), b)
     m = int(backend.float_field().mp.nint(_pi_over_alpha(ray, backend)))
-    try:  # an exact field holds tan(pi/m) for a few m only: the others need no power
-        backend.tan_pi_over(m)
-    except ValueError:
-        m = None
+    if backend.exact:  # an exact field holds tan(pi/m) for a few m only: the others need no power
+        try:
+            backend.tan_pi_over(m)
+        except ValueError:
+            m = None
     if m is not None and not (_im_sign(ray, backend, m) == 0 and (m == 1 or _im_sign(ray, backend, m - 1) > 0)):
         m = None
     return ConeSpec(m=m, ray=ray, backend=backend)

@@ -61,9 +61,10 @@ def test_zero_slope_is_the_half_plane():
 
 
 def test_admits_is_degree_below_pi_over_alpha():
-    """Exact at every pi/alpha: a wedge 1e-12 narrower than pi/2 has a
-    finite E[tau], and one 4e-10 narrower than pi/3 a finite degree-3
-    moment, over Q and on float:256."""
+    """Exact while pi/alpha is below about 2^250: a wedge 1e-12 narrower
+    than pi/2 has a finite E[tau], and one 4e-10 narrower than pi/3 a
+    finite degree-3 moment, over Q and on float:256.  Beyond that a degree
+    within the rounding of pi/alpha is refused, not guessed."""
     for m in (1, 2, 3, 4, 5, 8):
         cone = make_cone(m)
         assert [n for n in range(10) if cone.admits(n)] == list(range(m))
@@ -75,6 +76,10 @@ def test_admits_is_degree_below_pi_over_alpha():
         near_third = cone_from_slope(Fraction(1732050807, 10**9), backend)
         assert near_third.m is None and 0 < near_third.p_alpha - 3 < 1e-9
         assert near_third.admits(3) and not near_third.admits(4)
+    thin = cone_from_slope(Fraction(1, 10**80), RATIONAL)  # pi/alpha = 3.14...e80
+    assert thin.m is None and thin.admits(10**80) and not thin.admits(4 * 10**80)
+    with pytest.raises(ValidationError, match="within"):
+        thin.admits(int(bigfloat().mp.pi * 10**80))
 
 
 def test_refusal_prints_pi_over_alpha_apart_from_the_degree():
@@ -88,7 +93,9 @@ def test_refusal_prints_pi_over_alpha_apart_from_the_degree():
 def test_float_fallback():
     cone = make_cone(5)
     assert cone.backend.name.startswith("float")
-    assert abs(float(cone.b) - math.tan(math.pi / 5)) < 1e-15
+    assert abs(float(cone.b) - math.tan(math.pi / 5)) < 1e-30
+    mp = cone.backend.mp
+    assert abs(cone.b - mp.tan(mp.pi / 5)) < mp.mpf(2) ** -250
 
 
 def test_unrepresentable_angle():
