@@ -121,18 +121,17 @@ def _simulate_exits(cfg: SimConfig):
     step hands each chunk's survivors the next draws of the chunk's own
     stream, in path order.
 
-    While more than BLOCK_SWITCH paths of an array survive, each step draws
-    one row, one draw per survivor, adds the jumps in place and compacts
-    the array only when some path exited.  Below that, a block of k steps
-    takes k draws per survivor of each chunk, row by row from the chunk's
-    buffer, and is advanced with a cumulative sum; the rows after the first
-    one with an exit in any chunk are discarded and their draws go back to
-    the chunks' buffers.  A buffer takes at least DRAW_BATCH draws from its
-    stream at a time.  Philox draws concatenate, so either way path i
-    consumes exactly the draws that one-at-a-time stepping would give it.
-    The first block after single steps has k = 2; after a block without an
-    exit k doubles, and after an exit at row r it becomes 2*(r+1), capped
-    by the steps left and by BLOCK_DRAWS."""
+    An array advances by blocks of k steps.  A block takes k draws per
+    survivor of each chunk, row by row from the chunk's buffer, and is
+    advanced with a cumulative sum; the rows after the first one with an
+    exit in any chunk are discarded and their draws go back to the chunks'
+    buffers.  A buffer takes at least DRAW_BATCH draws from its stream at a
+    time.  Philox draws concatenate, so path i consumes exactly the draws
+    that one-at-a-time stepping would give it.  While more than
+    BLOCK_SWITCH paths survive, k = 1: each block is a single step.  The
+    first block after that has k = 2; after a block without an exit k
+    doubles, and after an exit at row r it becomes 2*(r+1), capped by the
+    steps left and by BLOCK_DRAWS."""
     log = _debug_log("conewalk.sim")  # the simulator's logger
     dtype = _path_dtype(cfg)
     jumps = _table_sampler(
@@ -159,19 +158,9 @@ def _simulate_exits(cfg: SimConfig):
     def advance(s: _Survivors, stop: int, until: int):
         """Step s until at most stop of its paths survive or it is at step until."""
         k = 1
-        while s.idx.size > max(stop, BLOCK_SWITCH) and s.step < until:
-            dx, dy = jumps(s.draws(1))
-            s.consume(1)
-            s.x += dx
-            s.y += dy
-            del dx, dy  # free them before the exits allocate
-            out = np.minimum(s.x, s.y) <= 0
-            if out.any():
-                record(s, out, s.step)
-            k = 2
         while s.idx.size > stop and s.step < until:
             n = s.idx.size
-            k = min(k, until - s.step, BLOCK_DRAWS // n)
+            k = 1 if n > BLOCK_SWITCH else min(k, until - s.step, BLOCK_DRAWS // n)
             bx, by = jumps(s.draws(k))
             bx, by = bx.reshape(k, n), by.reshape(k, n)
             if k > 1:  # a one-row cumsum would only copy

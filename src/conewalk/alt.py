@@ -25,6 +25,7 @@ from .errors import (
     InternalError,
     ResonantDegree,
     ValidationError,
+    integer,
 )
 from .poly import Poly, im_power, re_power
 from .records import Record
@@ -86,8 +87,7 @@ class FourierProfile(Record):
 
 def fourier_profile(j: int, k: int) -> FourierProfile:
     """Per-mode coefficients of the particular solution for rhs x1^j x2^k."""
-    if j < 0 or k < 0:
-        raise ValidationError("exponents must be >= 0")
+    j, k = integer(j, "j", 0), integer(k, "k", 0)
     n = j + k
     a, s = trig_series(j, k)
     kappa = [a[l] / ((n + 2) ** 2 - l * l) for l in range(n + 1)]
@@ -160,8 +160,7 @@ def build_harmonic_alt(m: int, mu: MomentTable) -> Poly:
     cancel the top homogeneous part of the one-step drift using the
     boundary-corrected particular solutions.  Coefficient-identical to the
     boundary-system builder; kept fully independent of it."""
-    if m < 1:
-        raise ValidationError("m must be >= 1")
+    m = integer(m, "m", 1)
     if mu.order < m:
         raise InsufficientMoments(f"need moments of order >= {m}, have {mu.order}")
     cone = cone_for_table(m, mu.backend)

@@ -17,7 +17,7 @@ import sys
 from .alt import eliminate_monomial
 from .cones import ConeSpec, cone_for_table, cone_from_slope, make_cone
 from .drift import one_step_residual
-from .errors import ConewalkError, ValidationError
+from .errors import ConewalkError, ValidationError, integer
 from .exits import exit_position_moments, tau_moment_poly
 from .harmonic import construct_harmonic
 from .jsonio import (
@@ -212,8 +212,7 @@ def cmd_transform(args) -> int:
 def cmd_verify(args) -> int:
     import random
 
-    if args.points < 1:
-        raise ValidationError(f"--points must be at least 1, got {args.points}")
+    integer(args.points, "--points", 1)
     w = _walk(args)
     m = args.m if args.m is not None else w.cone.m
     if m is None:

@@ -16,7 +16,7 @@ whichever way (c, s) points along the line."""
 
 from __future__ import annotations
 
-from .errors import AngleNotRepresentable, ValidationError
+from .errors import AngleNotRepresentable, ValidationError, integer
 from .records import Record
 from .scalars import Backend, RATIONAL, bigfloat, tan_field
 
@@ -91,6 +91,7 @@ class ConeSpec(Record):
         pi, so n*alpha < pi exactly when Im(z^n) > 0.  That needs err <
         1/2, which fails only when pi/alpha exceeds about 2^(precision-5);
         a degree within err of such a pi/alpha raises ValidationError."""
+        n = integer(n, "degree")
         if self.m is not None:
             return n < self.m
         field = self.backend.float_field()
@@ -114,8 +115,7 @@ def make_cone(m: int, backend: Backend | None = None) -> ConeSpec:
     for m in {3, 6, 8, 12}, and 256-bit floats otherwise.  An explicit
     exact backend that cannot represent tan(pi/m) raises
     AngleNotRepresentable."""
-    if m < 1:
-        raise ValidationError("m must be >= 1")
+    m = integer(m, "m", 1)
     if m == 2:
         backend = backend or RATIONAL
         ray = (backend.zero(), backend.one())
@@ -149,7 +149,7 @@ def cone_from_slope(b, backend: Backend | None = None) -> ConeSpec:
     backend = backend or bigfloat()
     try:
         b = backend.convert(b)
-    except (TypeError, ValueError) as e:
+    except ValueError as e:
         raise ValidationError(f"slope {b!r} is not in {backend.name}") from e
     ray = (backend.one(), b)
     m = int(backend.float_field().mp.nint(_pi_over_alpha(ray, backend)))

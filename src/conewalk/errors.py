@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer-argument rule."""
+
+import numbers
 
 
 class ConewalkError(Exception):
@@ -9,6 +11,16 @@ class ConewalkError(Exception):
 
 class ValidationError(ConewalkError):
     code = "validation"
+
+
+def integer(v, name: str, least: int | None = None) -> int:
+    """v as a Python int, for an argument that must be an integer of at
+    least least: a Python or numpy integer, not a bool.  Anything else
+    raises ValidationError naming the argument."""
+    if isinstance(v, numbers.Integral) and not isinstance(v, bool) and (least is None or v >= least):
+        return int(v)
+    bound = "" if least is None else f" >= {least}"
+    raise ValidationError(f"{name} must be an integer{bound}, got {v!r}")
 
 
 class AngleNotRepresentable(ConewalkError):

@@ -21,6 +21,7 @@ from .errors import (
     MomentNotFinite,
     SingularAngle,
     ValidationError,
+    integer,
 )
 from .linsys import build_matrix, solve_system
 from .poly import Poly
@@ -95,8 +96,7 @@ def poisson_solve(f: Poly, cone: ConeSpec, mu: MomentTable, n: int) -> Poly:
     Exists and is unique when n < pi/alpha (no resonant degree at or below
     n); built top-down, one homogeneous boundary system per degree.
     """
-    if n < 2:
-        raise ValidationError("target degree must be >= 2")
+    n = integer(n, "target degree", 2)
     if f.degree() > n - 2:
         raise ValidationError(f"rhs degree {f.degree()} exceeds {n - 2}")
     if not cone.admits(n):
@@ -135,8 +135,7 @@ def tau_moment_poly(k: int, cone: ConeSpec, mu: MomentTable) -> MomentPolyResult
     G_1..G_k are built in one pass, each drift computed once, and every
     G_j's recursion residual is checked.
     """
-    if k < 1:
-        raise ValidationError("moment order must be >= 1")
+    k = integer(k, "moment order", 1)
     if not cone.admits(2 * k):
         raise MomentNotFinite(f"moment {k} infinite (needs 2k < pi/alpha): {cone.refusal(2 * k)}")
     if mu.order < 2 * k:

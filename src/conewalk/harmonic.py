@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .cones import ConeSpec, _im_sign, cone_for_table
 from .drift import drift_expansion
-from .errors import InsufficientMoments, InternalError, ValidationError
+from .errors import InsufficientMoments, InternalError, ValidationError, integer
 from .exits import _solve_top_down
 from .poly import Poly, im_power
 from .records import Record
@@ -60,8 +60,7 @@ def construct_harmonic(m: int, mu: MomentTable) -> HarmonicResult:
     degrees 2..m-1 are provably nonsingular for this slope; if one ever
     reports singular, that is an internal error, not a user error.
     """
-    if m < 1:
-        raise ValidationError("m must be >= 1")
+    m = integer(m, "m", 1)
     if mu.order < m:
         raise InsufficientMoments(f"need moments of order >= {m}, have {mu.order}")
     cone = cone_for_table(m, mu.backend)
@@ -87,10 +86,13 @@ def check_low_degree_uniqueness(m: int, mu: MomentTable, f: Poly) -> bool:
 
     Raises ValidationError when f violates the preconditions, so a caller
     cannot use this to 'bless' a non-harmonic polynomial."""
+    m = integer(m, "m", 1)
     if f.degree() >= m:
         raise ValidationError(f"degree {f.degree()} not below {m}")
     cone = cone_for_table(m, mu.backend)
     backend = cone.backend
+    mu = mu.to(backend)
+    f = f.map_coeffs(backend.lift)
     scale = backend.scale(f)
     if not vanishes_on_boundary(f, cone, scale):
         raise ValidationError("f does not vanish on both boundary rays")
@@ -119,11 +121,11 @@ def converse_angle_test(n: int, cone: ConeSpec) -> AngleClassification:
     (c, s), tested in the cone's field relative to max(1, |c|, |s|)^n
     (the rule of conewalk.cones).
     Then the solution space is spanned by Im(x1 + i x2)^n, positive
-    throughout the open wedge exactly when q = 1.
+    throughout the open wedge exactly when q = 1.  A degree the wedge
+    admits (n < pi/alpha) is never resonant.
     """
-    if n < 2:
-        raise ValidationError("degree must be >= 2")
-    if _im_sign(cone.ray, cone.backend, n) != 0:
+    n = integer(n, "degree", 2)
+    if cone.admits(n) or _im_sign(cone.ray, cone.backend, n) != 0:
         return AngleClassification(n=n, resonant=False, q=None, kernel_positive=None)
     q = round(n / cone.p_alpha)
     return AngleClassification(n=n, resonant=True, q=q, kernel_positive=(q == 1))

@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .errors import ValidationError
+from .errors import ValidationError, integer
 from .poly import Poly
 from .scalars import Backend, RATIONAL, format_scalar
 from .walks import MomentTable, WalkSpec
@@ -33,8 +33,8 @@ def poly_from_obj(obj: dict, backend: Backend = RATIONAL) -> Poly:
     out = {}
     for t in terms:
         try:
-            i, j, c = int(t["i"]), int(t["j"]), backend.parse(t["c"])
-        except (KeyError, TypeError, ValueError) as e:
+            i, j, c = integer(t["i"], "i", 0), integer(t["j"], "j", 0), backend.parse(t["c"])
+        except (KeyError, TypeError, ValueError, ValidationError) as e:
             raise ValidationError(f"bad polynomial term {t!r}: {e}")
         out[(i, j)] = c
     return Poly(out)
@@ -56,7 +56,7 @@ def walk_from_obj(obj: dict) -> WalkSpec:
     for a in atoms:
         try:
             dy = a["dy"]
-            triples.append((int(dy[0]), int(dy[1]), Fraction(a["p"])))
+            triples.append((dy[0], dy[1], Fraction(a["p"])))
         except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as e:
             raise ValidationError(f"bad walk atom {a!r}: {e}")
     return WalkSpec(triples)
@@ -71,15 +71,15 @@ def moments_to_obj(mu: MomentTable) -> dict:
 
 def moments_from_obj(obj: dict, backend: Backend) -> MomentTable:
     try:
-        order = int(obj["order"])
+        order = obj["order"]
         entries = obj["mu"]
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError):
         raise ValidationError("moment object must have 'order' and 'mu'")
     mu = {}
     for e in entries:
         try:
-            mu[(int(e["k"]), int(e["l"]))] = backend.parse(e["v"])
-        except (KeyError, TypeError, ValueError) as err:
+            mu[(integer(e["k"], "k", 0), integer(e["l"], "l", 0))] = backend.parse(e["v"])
+        except (KeyError, TypeError, ValueError, ValidationError) as err:
             raise ValidationError(f"bad moment entry {e!r}: {err}")
     return MomentTable(order=order, mu=mu, backend=backend)
 

@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 
 from .cones import ConeSpec
-from .errors import SingularAngle, ValidationError
+from .errors import SingularAngle, ValidationError, integer
 from .poly import im_power
 from .records import Record
 
@@ -41,8 +41,7 @@ def build_matrix(n: int, cone: ConeSpec) -> BoundaryMatrix:
     a_0 = 0.  Row n+1 evaluates at the second ray (c, s): its entry i is
     c^(n-i) s^i, which is b^i for c = 1.
     """
-    if n < 2:
-        raise ValidationError("boundary systems start at degree 2")
+    n = integer(n, "degree", 2)
     backend = cone.backend
     one = backend.one()
     zero = backend.zero()
@@ -177,8 +176,7 @@ def triangularize_odd(n: int, cone: ConeSpec) -> OddTriangularization:
     wedge polynomial divided by a binomial: the returned theta satisfies
     theta * C(n, 2*n_odd+1) = Im(1 + i b)^n exactly.
     """
-    if n < 3:
-        raise ValidationError("odd triangularization needs degree >= 3")
+    n = integer(n, "degree", 3)
     b = cone.b  # ValidationError at opening pi/2: no sloped row to fold
     n_odd = (n - 1) // 2
     lambdas = []
@@ -212,12 +210,10 @@ def solve_system_recursive(mat: BoundaryMatrix, rhs) -> list:
     coefficient, and back-substituting.  Requires a finite slope and
     n >= 3; agreement with solve_system is exercised by the tests.
     """
-    n = mat.n
     cone = mat.cone
     backend = cone.backend
     b = cone.b  # ValidationError at opening pi/2, before any work
-    if n < 3:
-        raise ValidationError("recursive path needs degree >= 3")
+    n = integer(mat.n, "degree", 3)
     if len(rhs) != n + 1:
         raise ValidationError(f"rhs length {len(rhs)}, expected {n + 1}")
     if not backend.vanishes(rhs[-2:], backend.scale(*mat.rows, rhs)):

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import BoundaryPointError, ValidationError
+from .errors import BoundaryPointError, ValidationError, integer
 from .scalars import exact_derivative, exact_poly_sum
 
 
@@ -124,8 +124,7 @@ class Poly:
         return self * other
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValidationError("negative power")
+        n = integer(n, "power", 0)
         out = Poly.const(Fraction(1))
         base = self
         while n:
@@ -270,8 +269,7 @@ def im_power(m: int) -> Poly:
     """Im(x1 + i x2)^m: the degree-m homogeneous polynomial vanishing on the
     boundary of the opening-pi/m wedge, with integer coefficients
     sum_k (-1)^k C(m, 2k+1) x1^(m-2k-1) x2^(2k+1)."""
-    if m < 0:
-        raise ValidationError("m must be >= 0")
+    m = integer(m, "m", 0)
     t = {}
     for k in range(0, (m + 1) // 2):
         t[(m - 2 * k - 1, 2 * k + 1)] = Fraction((-1) ** k * math.comb(m, 2 * k + 1))
@@ -280,8 +278,7 @@ def im_power(m: int) -> Poly:
 
 def re_power(m: int) -> Poly:
     """Re(x1 + i x2)^m."""
-    if m < 0:
-        raise ValidationError("m must be >= 0")
+    m = integer(m, "m", 0)
     t = {}
     for k in range(0, m // 2 + 1):
         t[(m - 2 * k, 2 * k)] = Fraction((-1) ** k * math.comb(m, 2 * k))
@@ -300,6 +297,7 @@ def _boundary_distance(m: int, x1: float, x2: float) -> float:
 def boundary_ratio(m: int, x1, x2) -> float:
     """u(x) / (|x|^(m-1) * dist(x, boundary)) for the opening-pi/m wedge;
     lies in [1, m] for interior points."""
+    m = integer(m, "m", 1)
     xf1, xf2 = float(x1), float(x2)
     alpha = math.pi / m
     ang = math.atan2(xf2, xf1)

@@ -579,6 +579,14 @@ class Backend:
         return backend_from_name, (self.name,)
 
 
+def _rational(v, field: str) -> Fraction:
+    """Fraction(v); ValueError for a value no Fraction holds, such as an mpf."""
+    try:
+        return Fraction(v)
+    except TypeError:
+        raise ValueError(f"{v!r} is not exact, so not in {field}") from None
+
+
 class RationalBackend(Backend):
     name = "rational"
 
@@ -587,7 +595,7 @@ class RationalBackend(Backend):
             if v.q != 0:
                 raise ValueError("irrational value in rational backend")
             return v.p
-        return Fraction(v)
+        return _rational(v, self.name)
 
     def _parse(self, s: str):
         return Fraction(s)
@@ -609,7 +617,7 @@ class QuadraticBackend(Backend):
             if v.d != self.d:
                 raise ValueError(f"cannot convert sqrt({v.d}) element to {self.name}")
             return v
-        return QuadElement(Fraction(v), 0, self.d)
+        return QuadElement(_rational(v, self.name), 0, self.d)
 
     def _parse(self, s: str):
         m = _QUAD_RE.match(s)

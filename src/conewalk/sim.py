@@ -21,13 +21,13 @@ it steps paths only when some configured row reads them.
 from __future__ import annotations
 
 import math
-import numbers
 
 from .errors import (
     InsufficientSurvivors,
     MomentCheckInvalid,
     StartNotInterior,
     ValidationError,
+    integer,
 )
 from .exits import exit_position_moments, tau_moment_poly
 from .harmonic import construct_harmonic
@@ -265,15 +265,13 @@ class SimConfig(Record):
     checks: tuple = KNOWN_CHECKS[:1]  # the expected exit time
 
     def __post_init__(self):
-        y1, y2 = self.start
-        if int(y1) != y1 or int(y2) != y2 or y1 < 1 or y2 < 1:
+        # Python ints: numpy integers would wrap in the size arithmetic
+        y1, y2 = (integer(v, "start") for v in self.start)
+        if y1 < 1 or y2 < 1:
             raise StartNotInterior(f"start {self.start} must be an interior lattice point")
+        object.__setattr__(self, "start", (y1, y2))
         for name, least in (("paths", 1), ("max_steps", 1), ("seed", 0)):
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or v < least:
-                raise ValidationError(f"{name} must be an integer >= {least}, got {v!r}")
-            # a Python int: numpy integers would wrap in the size arithmetic
-            object.__setattr__(self, name, int(v))
+            object.__setattr__(self, name, integer(getattr(self, name), name, least))
         for c in self.checks:
             if c not in KNOWN_CHECKS:
                 raise ValidationError(f"unknown check {c!r}; known: {KNOWN_CHECKS}")

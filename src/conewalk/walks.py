@@ -8,7 +8,7 @@ import math
 from fractions import Fraction
 
 from .cones import ConeSpec, cone_for_table, cone_from_slope
-from .errors import DegenerateCorrelation, InsufficientMoments, ValidationError
+from .errors import DegenerateCorrelation, InsufficientMoments, ValidationError, integer
 from .records import Record
 from .scalars import Backend, bigfloat, exact_field, roots_field
 
@@ -21,8 +21,7 @@ class MomentTable(Record):
     backend: Backend
 
     def __post_init__(self):
-        if self.order < 2:
-            raise ValidationError("moment order must be >= 2")
+        object.__setattr__(self, "order", integer(self.order, "moment order", 2))
         for k in range(self.order + 1):
             for l in range(self.order + 1 - k):
                 if (k, l) not in self.mu:
@@ -84,7 +83,7 @@ class WalkSpec:
         self.atoms = []
         total = Fraction(0)
         for dy1, dy2, p in atoms:
-            dy1, dy2 = int(dy1), int(dy2)
+            dy1, dy2 = integer(dy1, "jump"), integer(dy2, "jump")
             p = Fraction(p)
             if p <= 0:
                 raise ValidationError("probabilities must be positive")
@@ -193,8 +192,7 @@ def check_no_overshoot(w: WalkSpec) -> bool:
 
 def push_moments(w: WalkSpec, order: int) -> MomentTable:
     """Exact mixed moments of X = T*Y over the finite support."""
-    if order < 2:
-        raise ValidationError("order must be >= 2")
+    order = integer(order, "moment order", 2)
     tr = w.transform
     backend = tr.backend
     mu = {}

@@ -103,6 +103,43 @@ def test_backend_converts_the_walk_table_or_refuses_it(capsys):
     assert rc == EXIT_OK and out == want
 
 
+#: rho = -1/6: the transform needs sqrt(35) and sqrt(6), so it is float:256
+FLOAT_ATOMS = [((1, -1), "1/10"), ((-1, 1), "1/10"), ((1, 0), "1/5"), ((-1, 0), "1/5"),
+               ((0, 1), "1/5"), ((0, -1), "1/5")]
+
+
+def test_an_exact_backend_refuses_a_float_walk_table(tmp_path, capsys):
+    """A float:256 moment table is not in Q or Q(sqrt 3): --backend
+    refuses it (exit 2) instead of failing in Fraction(mpf)."""
+    path = write_walk(tmp_path, FLOAT_ATOMS)
+    for argv in (("exit-moments", "--k", "1", "--backend", "rational"),
+                 ("exit-moments", "--k", "1", "--backend", "quad:3"),
+                 ("harmonic", "--m", "3", "--backend", "quad:3")):
+        rc, out, err = run(capsys, *argv, "--walk", path)
+        assert rc == EXIT_VALIDATION and out == "", argv
+        assert "float:256 moments are not in" in err, argv
+
+
+def test_a_non_integer_jump_or_moment_index_exits_2(tmp_path, capsys):
+    """A jump of 1.5, a moment order of 4.5 or a moment index k of 1.5 is
+    invalid input, never truncated to an integer."""
+    from conewalk import push_moments, skewed_walk
+    from conewalk.jsonio import moments_to_obj
+
+    atoms = [((1.5, 0), "1/4"), ((-1, 0), "1/4"), ((0, 1), "1/4"), ((0, -1), "1/4")]
+    rc, out, err = run(capsys, "transform", "--walk", write_walk(tmp_path, atoms))
+    assert rc == EXIT_VALIDATION and out == "" and "jump must be an integer" in err
+    for key, edit in (("order", lambda obj: obj.update(order=4.5)),
+                      ("k", lambda obj: obj["mu"].append({"k": 1.5, "l": 2, "v": "7"}))):
+        obj = moments_to_obj(push_moments(skewed_walk(), 4))
+        edit(obj)
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(obj))
+        rc, out, err = run(capsys, "harmonic", "--m", "3", "--moments", str(path))
+        assert rc == EXIT_VALIDATION and out == "", key
+        assert f"{key} must be an integer" in err, key
+
+
 def test_harmonic_refuses_a_backend_that_cannot_hold_the_slope(capsys):
     """--backend quad:2 cannot hold tan(pi/3): harmonic refuses it as
     exit-moments does, instead of building in float:256."""

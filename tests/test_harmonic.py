@@ -11,15 +11,18 @@ from conewalk import (
     Poly,
     QuadElement,
     ValidationError,
+    bigfloat,
     check_low_degree_uniqueness,
     cone_from_slope,
     construct_harmonic,
     converse_angle_test,
+    diagonal_walk,
     drift_expansion,
     im_power,
     make_cone,
     one_step_residual,
     push_moments,
+    quadratic,
     simple_walk,
     skewed_walk,
     vanishes_on_boundary,
@@ -97,6 +100,18 @@ def test_uniqueness_guard():
         check_low_degree_uniqueness(4, mu, Poly({(1, 0): Fraction(1)}))  # not on boundary
 
 
+def test_uniqueness_guard_takes_its_inputs_into_the_cone_field():
+    """The diagonal walk's Q(sqrt 3) table and a Q(sqrt 3) polynomial meet
+    the pi/8 wedge in float:256: both are lifted there, so the guard
+    answers (here: f is not zero on the sloped ray) instead of failing
+    in QuadElement * mpf."""
+    mu = push_moments(diagonal_walk(), 8)
+    f = Poly({(0, 1): quadratic(3).sqrt(3)})
+    with pytest.raises(ValidationError, match="does not vanish"):
+        check_low_degree_uniqueness(8, mu, f)
+    assert check_low_degree_uniqueness(8, mu, f - f)
+
+
 def test_vanishes_on_boundary():
     cone = construct_harmonic(4, push_moments(skewed_walk(), 4)).cone
     assert vanishes_on_boundary(im_power(4), cone)
@@ -120,6 +135,15 @@ def test_converse_angle_classification():
     assert cls.resonant and cls.q == 2
     cls = converse_angle_test(3, make_cone(2))
     assert not cls.resonant
+
+
+def test_an_admitted_degree_is_never_resonant():
+    """n < pi/alpha is never resonant, also where Im(z^n) is below the
+    field's zero test: a 1e-400 slope opens pi/alpha = 3e400."""
+    thin = cone_from_slope(bigfloat().mp.mpf("1e-400"))
+    assert [converse_angle_test(n, thin).label() for n in (2, 4, 10**6)] == ["nonresonant"] * 3
+    third = make_cone(3)
+    assert [converse_angle_test(n, third).q for n in (3, 6)] == [1, 2]
 
 
 def test_the_quadrant_is_resonant_exactly_at_even_degrees():
