@@ -11,18 +11,15 @@ The simulator and the self-test suite are loaded on first use of their
 names, so the exact machinery imports without them.  The simulator loads
 numpy with its first step or draw; configs, reports, the check table and
 every refusal do not need it.
+
+``__all__`` is the supported surface: every call of one of its names
+returns a result or raises a :class:`ConewalkError`.  The oracles' own
+helpers (the trigonometric series of :mod:`conewalk.alt`,
+``linsys.kernel_dimension``, ``poly.boundary_ratio``,
+``scalars.sqrt_fraction``) are imported from their modules.
 """
 
-from .alt import (
-    FourierProfile,
-    build_harmonic_alt,
-    eliminate_monomial,
-    fourier_profile,
-    harmonic_correction,
-    particular_solution,
-    polar_mode,
-    trig_series,
-)
+from .alt import build_harmonic_alt, eliminate_monomial
 from .cones import ConeSpec, cone_from_slope, make_cone
 from .drift import drift_expansion, one_step_residual
 from .errors import (
@@ -62,13 +59,12 @@ from .linsys import (
     BoundaryMatrix,
     OddTriangularization,
     build_matrix,
-    kernel_dimension,
     pivot_identity_residual,
     solve_system,
     solve_system_recursive,
     triangularize_odd,
 )
-from .poly import Poly, boundary_ratio, im_power, laplacian, re_power
+from .poly import Poly, im_power, laplacian, re_power
 from .scalars import (
     Backend,
     FloatBackend,
@@ -80,7 +76,6 @@ from .scalars import (
     bigfloat,
     format_scalar,
     quadratic,
-    sqrt_fraction,
 )
 from .walks import (
     MomentTable,
@@ -117,4 +112,20 @@ def __getattr__(name):
     return getattr(import_module(f".{module}", __name__), name)
 
 
-__all__ = sorted([n for n in globals() if not n.startswith("_")] + list(_LAZY))
+__all__ = [
+    "AngleClassification", "AngleNotRepresentable", "AngleOutOfRange", "Backend", "BoundaryMatrix",
+    "BoundaryPointError", "CheckResult", "ConeSpec", "ConewalkError", "DegenerateCorrelation",
+    "DegreeTooHigh", "ExitPositionMoments", "FloatBackend", "HarmonicResult", "InsufficientMoments",
+    "InsufficientSurvivors", "InternalError", "MomentCheckInvalid", "MomentNotFinite",
+    "MomentPolyResult", "MomentTable", "OddTriangularization", "Poly", "PropertyResult",
+    "QuadElement", "QuadraticBackend", "RATIONAL", "RationalBackend", "ResonantDegree", "SimConfig",
+    "SimReport", "SingularAngle", "StartNotInterior", "TransformInfo", "ValidationError",
+    "WalkSpec", "backend_from_name", "bigfloat", "build_harmonic_alt", "build_matrix",
+    "build_transform", "builtin_walks", "check_low_degree_uniqueness", "check_no_overshoot",
+    "cone_for_walk", "cone_from_slope", "construct_harmonic", "converse_angle_test",
+    "diagonal_walk", "drift_expansion", "eliminate_monomial", "exit_position_moments",
+    "first_moment_poly", "format_scalar", "im_power", "laplacian", "make_cone", "one_step_residual",
+    "pivot_identity_residual", "poisson_solve", "push_moments", "quadratic", "re_power",
+    "sample_exit", "self_test", "simple_walk", "skewed_walk", "solve_system",
+    "solve_system_recursive", "tau_moment_poly", "triangularize_odd", "vanishes_on_boundary",
+]

@@ -97,7 +97,9 @@ def fourier_profile(j: int, k: int) -> FourierProfile:
 
 def polar_mode(total: int, l: int, kind: str) -> Poly:
     """r^total cos(l beta) or sin(l beta) as a polynomial; requires
-    total >= l with total - l even."""
+    total >= l with total - l even, and kind "cos" or "sin"."""
+    if kind not in ("cos", "sin"):
+        raise ValidationError(f"mode kind must be 'cos' or 'sin', got {kind!r}")
     if total < l or (total - l) % 2:
         raise ValidationError("mode does not reconstruct to a polynomial")
     radial = Poly({(2, 0): Fraction(1), (0, 2): Fraction(1)}) ** ((total - l) // 2)
@@ -149,6 +151,7 @@ def harmonic_correction(fp: Poly, m: int, n: int, cone: ConeSpec | None = None) 
 def eliminate_monomial(j: int, k: int, m: int, cone: ConeSpec | None = None):
     """The triple (f, g, F = f + g): Laplacian of F is x1^j x2^k and F
     vanishes on both rays of the pi/m wedge."""
+    m = integer(m, "m", 1)
     cone = cone or make_cone(m)
     f = particular_solution(j, k)
     g = harmonic_correction(f, m, j + k, cone)

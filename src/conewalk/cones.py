@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .errors import AngleNotRepresentable, ValidationError, integer
 from .records import Record
-from .scalars import Backend, RATIONAL, bigfloat, tan_field
+from .scalars import Backend, RATIONAL, bigfloat, exact_im_sign, tan_field
 
 
 def _upper(ray) -> tuple:
@@ -29,10 +29,14 @@ def _upper(ray) -> tuple:
 
 
 def _im_sign(ray, backend: Backend, n: int) -> int:
-    """The sign of Im(z^n) for z = c + i s, (c, s) = _upper(ray): 0 when it
-    is zero in backend's field relative to max(1, |c|, |s|)^n.  z^n comes
-    from binary powering."""
+    """The sign of Im(z^n) for z = c + i s, (c, s) = _upper(ray): on exact
+    fields computed in integers (scalars.exact_im_sign); on float fields 0
+    when it is zero in backend's field relative to max(1, |c|, |s|)^n, with
+    z^n from binary powering."""
     c, s = _upper(ray)
+    sign = exact_im_sign(c, s, n)
+    if sign is not None:
+        return sign
     re, im = backend.one(), backend.zero()
     a, b, k = c, s, n
     while k:

@@ -17,7 +17,7 @@ from . import linsys
 from .alt import build_harmonic_alt, fourier_profile, particular_solution, polar_mode
 from .cones import cone_from_slope, make_cone
 from .drift import drift_expansion, one_step_residual
-from .errors import MomentNotFinite, ValidationError
+from .errors import MomentNotFinite, ValidationError, integer
 from .exits import exit_position_moments, tau_moment_poly
 from .harmonic import construct_harmonic
 from .linsys import build_matrix, kernel_dimension, solve_system, solve_system_recursive
@@ -430,7 +430,9 @@ def self_test(seed: int = 0, float_bits: int = 256) -> list[PropertyResult]:
     """Run every property; float-sensitive properties use the given
     precision (criterion: they must still pass at 64 bits with the
     precision-scaled tolerance).  A precision no float field takes is a
-    ValidationError, raised before any property runs."""
+    ValidationError, raised before any property runs, as is a seed that
+    is no integer."""
+    seed = integer(seed, "seed")
     try:
         bigfloat(float_bits)
     except ValueError as e:

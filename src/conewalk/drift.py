@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import InsufficientMoments
+from .errors import InsufficientMoments, integer
 from .poly import Poly, laplacian
 from .scalars import exact_poly_sum, field_of
 from .walks import MomentTable, WalkSpec, _image
@@ -48,7 +48,9 @@ def one_step_residual(h: Poly, w: WalkSpec, y: tuple[int, int]):
     (WalkSpec.jumps), and h's coefficients, the 1 + #atoms images and the
     atom probabilities go into one integer sum (:func:`exact_poly_sum`).
     On float fields each image is T(y+dy), and the terms are added in the
-    order written above."""
+    order written above.  ValidationError for a y that is no pair of
+    integers."""
+    y = tuple(integer(v, "lattice point") for v in y)
     backend = field_of(h.terms.values(), w.cone.backend)
     if backend.exact:
         x1, x2 = _image(w, y, backend)

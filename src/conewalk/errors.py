@@ -9,7 +9,11 @@ class ConewalkError(Exception):
     code = "error"
 
 
-class ValidationError(ConewalkError):
+class ValidationError(ConewalkError, ValueError):
+    """An argument value the package does not take.  It is a ValueError,
+    Python's error for a bad argument value, so a caller that catches
+    ValueError from a backend factory or a parser catches it too."""
+
     code = "validation"
 
 

@@ -40,8 +40,10 @@ class HarmonicResult(Record):
 def vanishes_on_boundary(h: Poly, cone: ConeSpec, scale: float = 1.0) -> bool:
     """True when h is identically zero on both rays of the wedge.  Each
     homogeneous part is checked separately (parts of different degree cannot
-    cancel along a ray), at the second ray's direction cone.ray."""
+    cancel along a ray), at the second ray's direction cone.ray.  h and
+    scale are taken into the cone's field first."""
     backend = cone.backend
+    h, scale = h.map_coeffs(backend.lift), backend.lift(scale)
     for (i, j), c in h.terms.items():
         if j == 0 and not backend.is_zero(c, scale):
             return False

@@ -34,7 +34,7 @@ def poly_from_obj(obj: dict, backend: Backend = RATIONAL) -> Poly:
     for t in terms:
         try:
             i, j, c = integer(t["i"], "i", 0), integer(t["j"], "j", 0), backend.parse(t["c"])
-        except (KeyError, TypeError, ValueError, ValidationError) as e:
+        except (KeyError, TypeError, ValueError) as e:
             raise ValidationError(f"bad polynomial term {t!r}: {e}")
         out[(i, j)] = c
     return Poly(out)
@@ -79,7 +79,7 @@ def moments_from_obj(obj: dict, backend: Backend) -> MomentTable:
     for e in entries:
         try:
             mu[(integer(e["k"], "k", 0), integer(e["l"], "l", 0))] = backend.parse(e["v"])
-        except (KeyError, TypeError, ValueError, ValidationError) as err:
+        except (KeyError, TypeError, ValueError) as err:
             raise ValidationError(f"bad moment entry {e!r}: {err}")
     return MomentTable(order=order, mu=mu, backend=backend)
 

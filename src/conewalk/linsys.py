@@ -104,9 +104,9 @@ def solve_system(mat: BoundaryMatrix, rhs) -> list:
     if len(rhs) != n + 1:
         raise ValidationError(f"rhs length {len(rhs)}, expected {n + 1}")
     backend = mat.cone.backend
-    if not backend.vanishes(rhs[-2:], backend.scale(*mat.rows, rhs)):
-        raise ValidationError("last two rhs entries (boundary rows) must be zero")
     a, b = _prepare(mat, rhs)
+    if not backend.vanishes(b[-2:], backend.scale(*mat.rows, rhs)):
+        raise ValidationError("last two rhs entries (boundary rows) must be zero")
     scale = backend.scale(*a)  # singularity depends on the matrix, not the rhs
     pivots = _forward_eliminate(a, b, backend, scale)
     if len(pivots) < n + 1:
@@ -216,10 +216,11 @@ def solve_system_recursive(mat: BoundaryMatrix, rhs) -> list:
     n = integer(mat.n, "degree", 3)
     if len(rhs) != n + 1:
         raise ValidationError(f"rhs length {len(rhs)}, expected {n + 1}")
+    rhs = [backend.lift(v) for v in rhs]
     if not backend.vanishes(rhs[-2:], backend.scale(*mat.rows, rhs)):
         raise ValidationError("last two rhs entries (boundary rows) must be zero")
     # c[i-1] is the Laplacian row for basis index i
-    c = [backend.lift(v) for v in rhs[: n - 1]]
+    c = rhs[: n - 1]
 
     a = [backend.zero()] * (n + 1)
     # even part: a_0 = 0; row index 2k (k >= 1) of the Laplacian block reads

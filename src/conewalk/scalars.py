@@ -24,6 +24,8 @@ import re
 import sys
 from fractions import Fraction
 
+from .errors import ValidationError, integer
+
 #: largest trial divisor of squarefree_decompose: it settles every n whose
 #: part without prime factors below this limit is below the limit cubed
 SQUAREFREE_TRIAL_LIMIT = 1 << 20
@@ -44,8 +46,6 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     m = n
     while p * p * p <= m:
         if p > SQUAREFREE_TRIAL_LIMIT:
-            from .errors import ValidationError
-
             raise ValidationError(
                 f"cannot find the square-free part of {n}: a factor of {m.bit_length()} bits "
                 f"has no prime factor below {SQUAREFREE_TRIAL_LIMIT}"
@@ -65,11 +65,21 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return s, d * m
 
 
+def _rational(v, field: str) -> Fraction:
+    """Fraction(v); ValidationError (a ValueError) for a value no Fraction
+    holds: an mpf, inf, nan, None, or a string that names no rational."""
+    try:
+        return Fraction(v)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{v!r} is not an exact finite value, so not in {field}") from None
+
+
 def sqrt_fraction(r: Fraction) -> tuple[Fraction, int]:
     """Decompose a nonnegative rational as r = s^2 * d with d a square-free
     positive integer; sqrt(r) = s * sqrt(d).  Returns (s, d)."""
+    r = _rational(r, "rational")
     if r < 0:
-        raise ValueError("nonnegative rational required")
+        raise ValidationError(f"sqrt_fraction needs a nonnegative rational, got {r}")
     if r == 0:
         return Fraction(0), 1
     sn, dn = squarefree_decompose(r.numerator)
@@ -90,7 +100,7 @@ class QuadElement:
     __slots__ = ("_a", "_b", "_c", "d")
 
     def __init__(self, p, q, d: int):
-        p, q = Fraction(p), Fraction(q)
+        p, q = _rational(p, "a quadratic field"), _rational(q, "a quadratic field")
         a, b = p.numerator * q.denominator, q.numerator * p.denominator
         c = p.denominator * q.denominator
         g = math.gcd(a, b, c)
@@ -106,18 +116,22 @@ class QuadElement:
 
     def _operand(self, other):
         """other as integers (a, b, c) plus the field d of the result, or
-        None if it is not a scalar this element combines with directly.  A
-        rational-valued element takes the field of the other operand."""
+        None if it is no scalar (a Poly, say), whose own operator then
+        runs.  A rational-valued element takes the field of the other
+        operand.  An element of another Q(sqrt(d)), a float or an mpf does
+        not combine with it: ValidationError (a ValueError)."""
         if isinstance(other, QuadElement):
             if other.d == self.d or other._b == 0:
                 return other._a, other._b, other._c, self.d
             if self._b == 0:
                 return other._a, other._b, other._c, other.d
-            raise ValueError(f"cannot mix sqrt({self.d}) and sqrt({other.d})")
+            raise ValidationError(f"cannot mix sqrt({self.d}) and sqrt({other.d})")
         if isinstance(other, int):
             return other, 0, 1, self.d
         if isinstance(other, Fraction):
             return other.numerator, 0, other.denominator, self.d
+        if isinstance(other, float) or is_mpf(other):
+            raise ValidationError(f"cannot mix sqrt({self.d}) and the float {other!r}")
         return None
 
     def _plus(self, a, b, c, d):
@@ -226,20 +240,7 @@ class QuadElement:
         return hash((self.p, self.q, self.d))
 
     def sign(self) -> int:
-        a, b = self._a, self._b  # c > 0 does not change the sign
-        if b == 0:
-            return 0 if a == 0 else (1 if a > 0 else -1)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # mixed signs: compare a^2 against b^2 d
-        lhs, rhs = a * a, b * b * self.d
-        if b > 0:  # a < 0
-            return 1 if rhs > lhs else (-1 if rhs < lhs else 0)
-        return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
+        return _sign(self._a, self._b, self.d)  # c > 0 does not change the sign
 
     def __lt__(self, other):
         o = self._operand(other)
@@ -268,6 +269,24 @@ class QuadElement:
 
     def __str__(self):
         return format_scalar(self)
+
+
+def _sign(a: int, b: int, d: int) -> int:
+    """The sign of a + b*sqrt(d) for integers a, b and d >= 0 (d is not
+    read when b = 0)."""
+    if b == 0:
+        return 0 if a == 0 else (1 if a > 0 else -1)
+    if a == 0:
+        return 1 if b > 0 else -1
+    if a > 0 and b > 0:
+        return 1
+    if a < 0 and b < 0:
+        return -1
+    # mixed signs: compare a^2 against b^2 d
+    lhs, rhs = a * a, b * b * d
+    if b > 0:  # a < 0
+        return 1 if rhs > lhs else (-1 if rhs < lhs else 0)
+    return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
 
 
 def _make(a: int, b: int, c: int, d: int) -> QuadElement:
@@ -378,6 +397,35 @@ def exact_derivative(terms: dict, var: int, times: int):
     return {(i, j - times): c * perm(j, times) for (i, j), c in terms.items() if j >= times}
 
 
+def exact_im_sign(c, s, n: int) -> int | None:
+    """The sign of Im((c + i s)^n) when c and s are exact (int, Fraction,
+    or QuadElement of one field Q(sqrt(d))), computed in integers: over the
+    common denominator of c and s, which is positive, z = c + i s has
+    parts a + b*sqrt(d) with integer a and b, and z^n comes from binary
+    powering with no gcd taken.  Returns None for any other c or s (mpf),
+    which the caller tests in its own field."""
+    d = exact_field((c, s))
+    if d is None:
+        return None
+    a1, b1, c1 = _triple(c)
+    a2, b2, c2 = _triple(s)
+
+    def times(u, v):  # (u0 + i u1)(v0 + i v1) with parts (a, b) meaning a + b*sqrt(d)
+        (ra, rb), (ia, ib) = u
+        (sa, sb), (ta, tb) = v
+        return ((ra * sa + rb * sb * d - ia * ta - ib * tb * d, ra * sb + rb * sa - ia * tb - ib * ta),
+                (ra * ta + rb * tb * d + ia * sa + ib * sb * d, ra * tb + rb * ta + ia * sb + ib * sa))
+
+    out, base = ((1, 0), (0, 0)), ((a1 * c2, b1 * c2), (a2 * c1, b2 * c1))
+    while n:
+        if n & 1:
+            out = times(out, base)
+        n >>= 1
+        if n:
+            base = times(base, base)
+    return _sign(*out[1], d)
+
+
 def _triple(v) -> tuple[int, int, int]:
     """An int, Fraction or QuadElement as integers (a, b, c), c > 0, with
     v = (a + b*sqrt(d)) / c."""
@@ -431,7 +479,8 @@ _QUAD_RE = re.compile(
 
 def format_scalar(v) -> str:
     """Canonical string form: 'p/q' rational, 'p/q+r/s*sqrt(d)' quadratic,
-    decimal string for floats."""
+    decimal string for floats.  ValidationError for a value that is none of
+    these, such as inf, nan or None."""
     if isinstance(v, QuadElement):
         qa = abs(v.q)
         sgn = "-" if v.q < 0 else "+"
@@ -441,7 +490,7 @@ def format_scalar(v) -> str:
 
         digits = max(17, int(mpmath.mp.prec * 0.30103) + 2)
         return mpmath.nstr(v, digits, strip_zeros=True)
-    return str(Fraction(v))
+    return str(_rational(v, "rational"))
 
 
 #: tan(pi/m) for the m whose value lies in Q or one Q(sqrt(d))
@@ -464,7 +513,7 @@ def roots_field(*rs) -> "Backend":
     ds = {sqrt_fraction(Fraction(r))[1] for r in rs} - {1}
     if len(ds) > 1:
         return bigfloat()
-    return quadratic(ds.pop(), squarefree=True) if ds else RATIONAL
+    return quadratic(ds.pop()) if ds else RATIONAL
 
 
 def _values(part):
@@ -579,21 +628,13 @@ class Backend:
         return backend_from_name, (self.name,)
 
 
-def _rational(v, field: str) -> Fraction:
-    """Fraction(v); ValueError for a value no Fraction holds, such as an mpf."""
-    try:
-        return Fraction(v)
-    except TypeError:
-        raise ValueError(f"{v!r} is not exact, so not in {field}") from None
-
-
 class RationalBackend(Backend):
     name = "rational"
 
     def convert(self, v):
         if isinstance(v, QuadElement):
             if v.q != 0:
-                raise ValueError("irrational value in rational backend")
+                raise ValidationError(f"{v} is irrational, so not in rational")
             return v.p
         return _rational(v, self.name)
 
@@ -602,11 +643,11 @@ class RationalBackend(Backend):
 
 
 class QuadraticBackend(Backend):
-    def __init__(self, d: int, squarefree: bool = False):
-        """Q(sqrt(d)); squarefree=True takes d as known square-free and
-        spares factoring it again."""
-        if d <= 1 or not squarefree and squarefree_decompose(d)[1] != d:
-            raise ValueError("d must be square-free and > 1")
+    def __init__(self, d: int):
+        """Q(sqrt(d)) for a square-free integer d >= 2."""
+        d = integer(d, "d", 2)
+        if squarefree_decompose(d)[1] != d:
+            raise ValidationError(f"d must be square-free, got {d}")
         self.d = d
         self.name = f"quad:{d}"
 
@@ -615,7 +656,7 @@ class QuadraticBackend(Backend):
             if v._b == 0:
                 return _make(v._a, 0, v._c, self.d)
             if v.d != self.d:
-                raise ValueError(f"cannot convert sqrt({v.d}) element to {self.name}")
+                raise ValidationError(f"cannot convert sqrt({v.d}) element to {self.name}")
             return v
         return QuadElement(_rational(v, self.name), 0, self.d)
 
@@ -644,8 +685,7 @@ class FloatBackend(Backend):
     exact = False
 
     def __init__(self, precision_bits: int = 256):
-        if precision_bits < 8:
-            raise ValueError("precision too small")
+        precision_bits = integer(precision_bits, "precision", 8)
         self.precision = precision_bits
         self.name = f"float:{precision_bits}"
         import mpmath  # the first float field loads mpmath
@@ -663,14 +703,22 @@ class FloatBackend(Backend):
         return mpmath.workprec(self.precision)
 
     def convert(self, v):
+        """v as an mpf of this field; ValidationError (a ValueError) for a
+        value that is no finite real number, such as inf, nan or None."""
         mp = self.mp
-        if type(v) is mp.mpf:
-            return v
-        if isinstance(v, QuadElement):
-            return self.convert(v.p) + self.convert(v.q) * mp.sqrt(v.d)
-        if isinstance(v, Fraction):
-            return mp.mpf(v.numerator) / v.denominator
-        return mp.mpf(v)
+        x = v
+        if type(v) is not mp.mpf:
+            if isinstance(v, QuadElement):
+                return self.convert(v.p) + self.convert(v.q) * mp.sqrt(v.d)
+            if isinstance(v, Fraction):
+                return mp.mpf(v.numerator) / v.denominator
+            try:
+                x = mp.mpf(v)
+            except (TypeError, ValueError):
+                x = mp.nan
+        if not mp.isfinite(x):
+            raise ValidationError(f"{v!r} is not a finite real number, so not in {self.name}")
+        return x
 
     def is_zero(self, v, scale=1) -> bool:
         s = abs(self.mp.mpf(scale)) if scale else 1
@@ -719,28 +767,33 @@ _quad_cache: dict[int, QuadraticBackend] = {}
 _float_cache: dict[int, FloatBackend] = {}
 
 
-def quadratic(d: int, squarefree: bool = False) -> QuadraticBackend:
+def quadratic(d: int) -> QuadraticBackend:
+    """The field Q(sqrt(d)): one object per field.  d is checked before
+    the cache is read, so 2.0 or True never names a field, and only a
+    field whose d is square-free enters the cache."""
+    d = integer(d, "d", 2)
     if d not in _quad_cache:
-        _quad_cache[d] = QuadraticBackend(d, squarefree)
+        _quad_cache[d] = QuadraticBackend(d)
     return _quad_cache[d]
 
 
 def bigfloat(bits: int = 256) -> FloatBackend:
     """The float field of this precision: one object per precision, as
     RATIONAL and quadratic(d) are one per field."""
+    bits = integer(bits, "precision", 8)
     if bits not in _float_cache:
         _float_cache[bits] = FloatBackend(bits)
     return _float_cache[bits]
 
 
 def backend_from_name(name: str) -> Backend:
-    """Parse a --backend flag value: rational, quad:d, float:bits."""
+    """Parse a --backend flag value: rational, float, quad:d, float:bits.
+    ValidationError for any other name."""
     if name == "rational":
         return RATIONAL
-    if name.startswith("quad:"):
-        return quadratic(int(name.split(":", 1)[1]))
-    if name.startswith("float:"):
-        return bigfloat(int(name.split(":", 1)[1]))
     if name == "float":
         return bigfloat()
-    raise ValueError(f"unknown backend {name!r}")
+    kind, _, arg = str(name).partition(":")
+    if kind in ("quad", "float") and arg.isdecimal():
+        return quadratic(int(arg)) if kind == "quad" else bigfloat(int(arg))
+    raise ValidationError(f"unknown backend {name!r}: rational, float, quad:d or float:bits")

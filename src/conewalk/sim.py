@@ -272,6 +272,11 @@ class SimConfig(Record):
         object.__setattr__(self, "start", (y1, y2))
         for name, least in (("paths", 1), ("max_steps", 1), ("seed", 0)):
             object.__setattr__(self, name, integer(getattr(self, name), name, least))
+        # the simulator steps positions in numpy's 64-bit integers
+        jump = max(max(abs(a), abs(b)) for a, b, _ in self.walk.atoms)
+        if max(y1, y2) + jump >= 2**63:
+            raise ValidationError(f"start {self.start} plus a jump of {jump} is beyond the simulator's "
+                                  f"64-bit integers")
         for c in self.checks:
             if c not in KNOWN_CHECKS:
                 raise ValidationError(f"unknown check {c!r}; known: {KNOWN_CHECKS}")

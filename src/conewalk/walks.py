@@ -10,7 +10,7 @@ from fractions import Fraction
 from .cones import ConeSpec, cone_for_table, cone_from_slope
 from .errors import DegenerateCorrelation, InsufficientMoments, ValidationError, integer
 from .records import Record
-from .scalars import Backend, bigfloat, exact_field, roots_field
+from .scalars import RATIONAL, Backend, bigfloat, exact_field, roots_field
 
 
 class MomentTable(Record):
@@ -84,7 +84,7 @@ class WalkSpec:
         total = Fraction(0)
         for dy1, dy2, p in atoms:
             dy1, dy2 = integer(dy1, "jump"), integer(dy2, "jump")
-            p = Fraction(p)
+            p = RATIONAL.convert(p)
             if p <= 0:
                 raise ValidationError("probabilities must be positive")
             if (dy1, dy2) in seen:

@@ -27,7 +27,6 @@ from conewalk import (
     exit_position_moments,
     first_moment_poly,
     im_power,
-    kernel_dimension,
     make_cone,
     one_step_residual,
     pivot_identity_residual,
@@ -39,6 +38,7 @@ from conewalk import (
     skewed_walk,
     tau_moment_poly,
 )
+from conewalk.linsys import kernel_dimension
 from conftest import make_moment_table
 
 SQ2 = quadratic(2)

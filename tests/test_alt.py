@@ -13,15 +13,12 @@ from conewalk import (
     construct_harmonic,
     diagonal_walk,
     eliminate_monomial,
-    fourier_profile,
     laplacian,
-    particular_solution,
-    polar_mode,
     push_moments,
     simple_walk,
     skewed_walk,
-    trig_series,
 )
+from conewalk.alt import fourier_profile, particular_solution, polar_mode, trig_series
 
 
 def test_trig_series_frozen():

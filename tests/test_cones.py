@@ -20,11 +20,11 @@ from conewalk import (
     diagonal_walk,
     exit_position_moments,
     first_moment_poly,
-    kernel_dimension,
     make_cone,
     push_moments,
     quadratic,
 )
+from conewalk.linsys import kernel_dimension
 
 
 def test_exact_slopes():

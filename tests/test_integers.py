@@ -16,25 +16,29 @@ from conewalk import (
     SimConfig,
     ValidationError,
     WalkSpec,
-    boundary_ratio,
     build_harmonic_alt,
     build_matrix,
     check_low_degree_uniqueness,
     construct_harmonic,
     converse_angle_test,
     diagonal_walk,
-    fourier_profile,
+    eliminate_monomial,
     im_power,
     make_cone,
+    one_step_residual,
     poisson_solve,
     push_moments,
+    quadratic,
     re_power,
+    self_test,
     solve_system_recursive,
     tau_moment_poly,
     triangularize_odd,
 )
+from conewalk.alt import fourier_profile
 from conewalk.jsonio import moments_from_obj, moments_to_obj, poly_from_obj, walk_from_obj
 from conewalk.linsys import BoundaryMatrix
+from conewalk.poly import boundary_ratio
 from conftest import make_moment_table
 
 MU = make_moment_table(6)
@@ -81,6 +85,10 @@ ENTRY_POINTS = {
     "im_power m": (im_power, None),
     "re_power m": (re_power, None),
     "boundary_ratio m": (lambda v: boundary_ratio(v, 1, Fraction(1, 10)), None),
+    "one_step_residual y": (lambda v: one_step_residual(Poly.zero(), diagonal_walk(), (v, 1)), None),
+    "eliminate_monomial m": (lambda v: eliminate_monomial(0, 0, v), None),
+    "quadratic d": (quadratic, lambda r: r.d),
+    "self_test seed": (lambda v: self_test(seed=v, float_bits=64), None),
     "converse_angle_test n": (lambda v: converse_angle_test(v, make_cone(3)), lambda r: r.n),
     "ConeSpec.admits n": (lambda v: make_cone(4).admits(v), None),
     "poisson_solve n": (lambda v: poisson_solve(Poly.const(Fraction(1)), make_cone(4), MU, v), None),

@@ -14,7 +14,6 @@ from conewalk import (
     ValidationError,
     build_matrix,
     im_power,
-    kernel_dimension,
     laplacian,
     make_cone,
     pivot_identity_residual,
@@ -22,6 +21,7 @@ from conewalk import (
     solve_system_recursive,
     triangularize_odd,
 )
+from conewalk.linsys import kernel_dimension
 
 
 def rational_cone(b):

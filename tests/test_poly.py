@@ -14,12 +14,12 @@ from conewalk import (
     QuadElement,
     ValidationError,
     bigfloat,
-    boundary_ratio,
     format_scalar,
     im_power,
     laplacian,
     re_power,
 )
+from conewalk.poly import boundary_ratio
 from conewalk.scalars import exact_derivative, exact_poly_sum
 from conftest import scalar_sum
 

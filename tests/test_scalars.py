@@ -23,10 +23,9 @@ from conewalk import (
     push_moments,
     quadratic,
     simple_walk,
-    sqrt_fraction,
 )
 import conewalk
-from conewalk.scalars import is_mpf, squarefree_decompose
+from conewalk.scalars import is_mpf, sqrt_fraction, squarefree_decompose
 
 
 def test_squarefree_decompose():
